@@ -20,8 +20,6 @@ from .levy_models import (
 from .numerics import (
     QuadratureError,
     QuadratureSpec,
-    Transform,
-    log_integrate_halfline,
     log_integrate_halfline_logv,
 )
 from .partitions import AFSVector, Configuration, afs, enumerate_afs, log_partition_coefficient

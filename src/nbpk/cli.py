@@ -9,6 +9,7 @@ prediction weights), ``gibbs`` (stream sampled partitions as JSON lines),
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from typing import List, Optional
@@ -26,7 +27,7 @@ from .coalescent import (
     simulate_backward,
 )
 from .levy_models import LevyModel, ModelParamsR, log_pi_n, psi
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import LogDensityGridSampler, QuadratureError, QuadratureSpec
 from .partitions import Configuration, enumerate_afs
 from .posterior import (
     check_partition_normalization,
@@ -131,9 +132,7 @@ def _cmd_gibbs(args) -> int:
     out = _open_out(args)
     try:
         for j in range(args.reps):
-            rec = run_chain(params, args.n, args.seed + j,
-                            keep_v_trace=args.v_trace,
-                            new_block_weight=args.new_block_weight)
+            rec = run_chain(params, args.n, args.seed + j, keep_v_trace=args.v_trace)
             out.write(rec.to_json() + "\n")
     finally:
         if out is not sys.stdout:
@@ -366,13 +365,12 @@ def _cmd_validate(args) -> int:
 
 def _show_config():
     spec = QuadratureSpec()
+    refine_tol = inspect.signature(LogDensityGridSampler).parameters["refine_tol"].default
     print("quadrature.rel_tol      =", spec.rel_tol)
     print("quadrature.max_subdiv   =", spec.max_subdivisions)
-    print("quadrature.transform    =", spec.transform.value)
-    print("v_sampler.refine_tol    = 1e-06")
+    print("v_sampler.refine_tol    =", refine_tol)
     print("default.seed            =", DEFAULT_SEED)
     print("default.phi             = n (total sample size)")
-    print("default.new_block       = blocks (r + current number of blocks)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--v-trace", action="store_true", help="include the auxiliary draws")
-    p.add_argument("--new-block-weight", choices=["blocks", "observations"],
-                   default="blocks")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_gibbs)
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .levy_models import ModelParamsR, log_psi_lv
 from .numerics import QuadratureSpec, log_integrate_halfline_logv
 from .partitions import Configuration
-from .posterior import DEFAULT_SPEC, _log_g_r_lv, log_eppf, predictive_weights
+from .posterior import DEFAULT_SPEC, _log_g_r_lv, predictive_weights
 
 __all__ = [
     "EventKind",
@@ -93,26 +93,31 @@ class RateFunction:
         return rate
 
 
+def _backward_term(params: ModelParamsR, config: Configuration, i: int,
+                   spec: QuadratureSpec) -> Tuple[float, float]:
+    """Block i's backward event term, and the log EPPF of the reduced configuration.
+
+    Block i with n_i > 1 contributes (n_i/n) (1/(n-1)) omega_i evaluated on the
+    reduced configuration; a singleton contributes (1/n) omega_0 on the reduced
+    configuration.  Both come from one predictive_weights call.
+    """
+    n, ni = config.n, config.counts[i]
+    w = predictive_weights(params, config.remove_one(i), spec)
+    if ni > 1:
+        # Block i keeps its position in the reduced configuration.
+        return ni / n / (n - 1) * w.omega[i], w.log_eppf
+    return w.omega0 / n, w.log_eppf
+
+
 def backward_event_probabilities(params: ModelParamsR, config: Configuration,
                                  spec: QuadratureSpec = DEFAULT_SPEC):
     """Unnormalized backward event terms per block, and their total.
 
-    Block i with n_i > 1 contributes (n_i/n) (1/(n-1)) omega_i evaluated on the
-    reduced configuration; a singleton contributes (1/n) omega_0 on the reduced
-    configuration.  The total equals the EPPF value of the full configuration.
+    The total equals the EPPF value of the full configuration.
     """
-    n = config.n
-    if n < 2:
+    if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
-    terms = []
-    for i, ni in enumerate(config.counts):
-        reduced = config.remove_one(i)
-        w = predictive_weights(params, reduced, spec)
-        if ni > 1:
-            # Block i keeps its position in the reduced configuration.
-            terms.append(ni / n / (n - 1) * w.omega[i])
-        else:
-            terms.append(w.omega0 / n)
+    terms = [_backward_term(params, config, i, spec)[0] for i in range(config.k)]
     return np.array(terms), float(np.sum(terms))
 
 
@@ -203,14 +208,9 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
 
     y0 = np.array([h0(Configuration(s)) for s in states], float)
     start_row = index[config.sorted_counts()]
-    t_max = float(t_grid.max()) if t_grid.size else 0.0
-    if t_max == 0.0:
-        return np.full(t_grid.shape, y0[start_row])
-    sol = solve_ivp(lambda _t, y: gen @ y, (0.0, t_max), y0,
-                    method="RK45", rtol=1e-12, atol=1e-12,
-                    t_eval=np.unique(np.concatenate([[0.0], t_grid])))
-    lookup = {float(t): sol.y[start_row, j] for j, t in enumerate(sol.t)}
-    return np.array([lookup[float(t)] for t in t_grid])
+    # H(t) = exp(t G) h0 for the generator G; exp(0) is the identity.
+    return np.array([expm(t * gen)[start_row] @ y0 if t > 0.0 else y0[start_row]
+                     for t in t_grid])
 
 
 def ratio_integrals(params: ModelParamsR, config: Configuration, i: int,
@@ -225,13 +225,14 @@ def ratio_integrals(params: ModelParamsR, config: Configuration, i: int,
     n, k = config.n, config.k
     if n < 2:
         raise ValueError("need a configuration with at least two observations")
-    ni = config.counts[i]
-    reduced = config.remove_one(i)
     if route == "weights":
-        terms, _ = backward_event_probabilities(params, config, spec)
-        return float(terms[i] / math.exp(log_eppf(params, reduced, spec)))
+        term, log_reduced = _backward_term(params, config, i, spec)
+        return float(term / math.exp(log_reduced))
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
+
+    ni = config.counts[i]
+    reduced = config.remove_one(i)
 
     def log_kernel(cfg, kk):
         # v^{n'-1} psi^{-(r+kk)} prod_j pi_{n_j}; no gamma-function prefactors.

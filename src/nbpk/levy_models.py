@@ -1,10 +1,9 @@
 """Jump intensity families and their Laplace-exponent functionals.
 
-Four built-in intensities are supported together with a user-supplied generic
-density.  For each model the package needs two functionals of the intensity
-rho: ``psi(v) = 1 + int (1 - e^{-vx}) rho(x) dx`` and the tilted moments
-``pi_n(v) = int x^n rho(x) e^{-vx} dx``.  Closed forms are used for the
-built-ins; the generic model falls back on adaptive quadrature.
+Four intensities are supported.  For each model the package needs two
+functionals of the intensity rho: ``psi(v) = 1 + int (1 - e^{-vx}) rho(x) dx``
+and the tilted moments ``pi_n(v) = int x^n rho(x) e^{-vx} dx``, both evaluated
+in closed form.
 """
 
 from __future__ import annotations
@@ -12,17 +11,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-
-from .numerics import QuadratureSpec, QuadratureError, Transform, log_integrate_halfline
 
 __all__ = [
     "ModelKind",
     "LevyModel",
     "ModelParamsR",
-    "InvalidDensityError",
     "psi",
     "log_psi",
     "log_pi_n",
@@ -31,16 +27,11 @@ __all__ = [
 ]
 
 
-class InvalidDensityError(ValueError):
-    """A generic intensity failed an integrability probe or produced non-finite values."""
-
-
 class ModelKind(enum.Enum):
     STABLE = "stable"
     GAMMA = "gamma"
     GENERALIZED_GAMMA = "gengamma"
     TRUNCATED_STABLE = "truncstable"
-    GENERIC = "generic"
 
 
 @dataclass(frozen=True)
@@ -48,14 +39,12 @@ class LevyModel:
     """An intensity specification.
 
     alpha is the stability index in (0,1) (Stable, GeneralizedGamma,
-    TruncatedStable); theta > 0 is the mass parameter of the Gamma model;
-    density is the intensity function itself for Generic models.
+    TruncatedStable); theta > 0 is the mass parameter of the Gamma model.
     """
 
     kind: ModelKind
     alpha: Optional[float] = None
     theta: Optional[float] = None
-    density: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.kind in (ModelKind.STABLE, ModelKind.GENERALIZED_GAMMA,
@@ -65,10 +54,6 @@ class LevyModel:
         elif self.kind is ModelKind.GAMMA:
             if self.theta is None or not (self.theta > 0.0):
                 raise ValueError(f"theta must be positive, got {self.theta}")
-        elif self.kind is ModelKind.GENERIC:
-            if self.density is None:
-                raise ValueError("generic model requires a density function")
-            _probe_generic_density(self.density)
 
     @staticmethod
     def stable(alpha: float) -> "LevyModel":
@@ -86,15 +71,9 @@ class LevyModel:
     def truncated_stable(alpha: float) -> "LevyModel":
         return LevyModel(ModelKind.TRUNCATED_STABLE, alpha=alpha)
 
-    @staticmethod
-    def generic(density: Callable[[float], float]) -> "LevyModel":
-        return LevyModel(ModelKind.GENERIC, density=density)
-
     def describe(self) -> str:
         if self.kind is ModelKind.GAMMA:
             return f"gamma(theta={self.theta})"
-        if self.kind is ModelKind.GENERIC:
-            return "generic"
         return f"{self.kind.value}(alpha={self.alpha})"
 
 
@@ -108,31 +87,6 @@ class ModelParamsR:
     def __post_init__(self):
         if not (self.r > 0.0):
             raise ValueError(f"r must be positive, got {self.r}")
-
-
-def _probe_generic_density(density):
-    """Best-effort checks: finiteness on a grid and integrability of s*rho(s) near 0.
-
-    The full admissibility conditions (divergence at 0, finiteness away from 0,
-    integrability of s*rho near 0) cannot all be verified numerically; residual
-    trust stays with the caller.
-    """
-    for s in (1e-6, 1e-3, 0.1, 1.0, 10.0):
-        val = density(s)
-        if not np.isfinite(val) or val < 0.0:
-            raise InvalidDensityError(
-                f"density({s}) = {val}; must be finite and nonnegative on (0, inf)")
-    # Probe int_0^1 s rho(s) ds on a crude log grid; divergence shows up as
-    # dyadic contributions that fail to decay.
-    edges = np.logspace(-12, 0, 49)
-    mids = np.sqrt(edges[:-1] * edges[1:])
-    widths = np.diff(edges)
-    contrib = np.array([m * density(m) for m in mids]) * widths
-    if not np.all(np.isfinite(contrib)):
-        raise InvalidDensityError("s * density(s) is not finite near 0")
-    tail = np.abs(contrib[:16]).sum()
-    if tail > 1e6 * (np.abs(contrib).sum() - tail + 1e-300):
-        raise InvalidDensityError("s * density(s) does not look integrable near 0")
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +165,6 @@ def _vec_log_lower_incomplete_gamma(s, x):
 # psi and pi_n
 # ---------------------------------------------------------------------------
 
-_GENERIC_SPEC = QuadratureSpec(rel_tol=1e-10, max_subdivisions=4000, transform=Transform.NONE)
-
-
-def _generic_scalar(fn, v):
-    v = np.asarray(v, float)
-    if v.ndim == 0:
-        return fn(float(v))
-    return np.array([fn(float(x)) for x in v.ravel()]).reshape(v.shape)
-
-
 def log_psi_lv(model: LevyModel, lv):
     """log psi at v = exp(lv), stable for lv far beyond float overflow of v.
 
@@ -237,17 +181,13 @@ def log_psi_lv(model: LevyModel, lv):
         out = np.log1p(th * np.logaddexp(0.0, lv))
     elif model.kind is ModelKind.GENERALIZED_GAMMA:
         out = a * np.logaddexp(0.0, lv)
-    elif model.kind is ModelKind.TRUNCATED_STABLE:
+    else:  # truncated stable
         out = np.empty_like(lv, dtype=float)
         small = lv < math.log(700.0)
         vs = np.exp(lv[small])
         lg = _vec_log_lower_incomplete_gamma(1.0 - a, vs)
         out[small] = np.logaddexp(-vs, a * lv[small] + lg)
         out[~small] = a * lv[~small] + math.lgamma(1.0 - a)
-    else:
-        # Generic intensities cannot be probed beyond float range; cap v.
-        v = np.exp(np.minimum(lv, 690.0))
-        out = np.log(psi(model, v))
     if scalar:
         return float(out[0])
     return out
@@ -267,15 +207,12 @@ def log_pi_n_lv(model: LevyModel, n: int, lv):
     elif model.kind is ModelKind.GENERALIZED_GAMMA:
         out = (math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a)
                + (a - n) * np.logaddexp(0.0, lv))
-    elif model.kind is ModelKind.TRUNCATED_STABLE:
+    else:  # truncated stable
         out = np.empty_like(lv, dtype=float)
         small = lv < math.log(700.0)
         out[small] = _vec_log_lower_incomplete_gamma(n - a, np.exp(lv[small]))
         out[~small] = math.lgamma(n - a)
         out = out + math.log(a) + (a - n) * lv
-    else:
-        v = np.exp(np.minimum(lv, 690.0))
-        out = log_pi_n(model, n, v)
     out = np.asarray(out, float)
     if scalar:
         return float(out[0])
@@ -294,34 +231,10 @@ def psi(model: LevyModel, v):
         out = 1.0 + th * np.log1p(v)
     elif model.kind is ModelKind.GENERALIZED_GAMMA:
         out = (1.0 + v) ** a
-    elif model.kind is ModelKind.TRUNCATED_STABLE:
+    else:  # truncated stable
         # Integration by parts of the defining integral over (0, 1].
         glo = np.exp(_vec_log_lower_incomplete_gamma(1.0 - a, np.maximum(v, 1e-300)))
         out = np.where(v == 0.0, 1.0, np.exp(-v) + v ** a * glo)
-    else:
-        rho = model.density
-
-        def one(vv):
-            if vv == 0.0:
-                return 1.0
-
-            def log_f(x):
-                x = np.asarray(x, float)
-                with np.errstate(divide="ignore"):
-                    dens = np.array([rho(float(xi)) for xi in np.atleast_1d(x)])
-                    lf = np.log(-np.expm1(-vv * np.atleast_1d(x))) + np.log(dens)
-                return lf.reshape(x.shape) if x.ndim else float(lf[0])
-
-            try:
-                val = 1.0 + math.exp(log_integrate_halfline(log_f, _GENERIC_SPEC))
-            except QuadratureError as exc:
-                raise InvalidDensityError(
-                    f"psi quadrature failed for generic density: {exc}") from exc
-            if not math.isfinite(val):
-                raise InvalidDensityError("psi diverged for generic density")
-            return val
-
-        out = _generic_scalar(one, v)
     if np.ndim(v) == 0:
         return float(out)
     return out
@@ -346,26 +259,8 @@ def log_pi_n(model: LevyModel, n: int, v):
         out = math.log(th) + math.lgamma(n) - n * np.log1p(v)
     elif model.kind is ModelKind.GENERALIZED_GAMMA:
         out = math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a) + (a - n) * np.log1p(v)
-    elif model.kind is ModelKind.TRUNCATED_STABLE:
+    else:  # truncated stable
         out = math.log(a) + (a - n) * logv + _vec_log_lower_incomplete_gamma(n - a, v)
-    else:
-        rho = model.density
-
-        def one(vv):
-            def log_f(x):
-                x = np.asarray(x, float)
-                dens = np.array([rho(float(xi)) for xi in np.atleast_1d(x)])
-                with np.errstate(divide="ignore"):
-                    lf = n * np.log(np.atleast_1d(x)) + np.log(dens) - vv * np.atleast_1d(x)
-                return lf.reshape(x.shape) if x.ndim else float(lf[0])
-
-            try:
-                return log_integrate_halfline(log_f, _GENERIC_SPEC)
-            except QuadratureError as exc:
-                raise InvalidDensityError(
-                    f"pi_{n} quadrature failed for generic density: {exc}") from exc
-
-        out = _generic_scalar(one, v)
     if np.ndim(v) == 0:
         return float(out)
     return np.asarray(out, float)

@@ -1,14 +1,14 @@
 """Log-space adaptive quadrature on (0, infinity) and grid-based inverse-CDF sampling.
 
 Every integral in this package is of the form ``log I = log int_0^infty exp(log_f(v)) dv``
-where ``exp(log_f)`` would overflow or underflow in linear space.  The integrator
-keeps a running maximum of the log integrand, works on shifted values, and restores
+where ``exp(log_f)`` would overflow or underflow in linear space.  The integrand
+is supplied as a numpy-vectorised function of log v.  The integrator keeps a
+running maximum of the log integrand, works on shifted values, and restores
 the shift at the end, so adding a constant to ``log_f`` shifts the result exactly.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,27 +16,17 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Transform",
     "QuadratureSpec",
     "QuadratureError",
-    "log_integrate_halfline",
     "log_integrate_halfline_logv",
     "LogDensityGridSampler",
 ]
-
-
-class Transform(enum.Enum):
-    """Change of variable applied before panel subdivision."""
-
-    NONE = "none"
-    RATIONAL_TO_UNIT = "rational_to_unit"
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     rel_tol: float = 1e-9
     max_subdivisions: int = 20000
-    transform: Transform = Transform.RATIONAL_TO_UNIT
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2):
@@ -61,22 +51,6 @@ class QuadratureError(RuntimeError):
 # estimate, the 7-point rule supplies the error estimate by comparison.
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
-
-
-def _as_vectorized(log_f):
-    """Wrap log_f so that it accepts a 1-d numpy array, looping if necessary."""
-
-    def call(t):
-        t = np.asarray(t, dtype=float)
-        try:
-            out = np.asarray(log_f(t), dtype=float)
-            if out.shape == t.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(log_f(x)) for x in t])
-
-    return call
 
 
 def _panel_log_values(log_g, a, b):
@@ -149,55 +123,6 @@ def _log_integrate_unit(log_g, rel_tol, max_subdivisions, n_init=8):
         l15 = np.concatenate([l15[keep], nl15])
 
 
-def log_integrate_halfline(log_f: Callable, spec: QuadratureSpec | None = None) -> float:
-    """Return log of int_0^infty exp(log_f(v)) dv.
-
-    ``log_f`` may return -inf where the integrand vanishes.  With the
-    RationalToUnit transform the substitution v = t/(1-t) maps the half line
-    to (0, 1); with Transform.NONE the integral is split at v = 1 and the tail
-    handled by v = 1/u.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    f = _as_vectorized(log_f)
-
-    if spec.transform is Transform.RATIONAL_TO_UNIT:
-        def log_g(t):
-            # Nodes that round onto the endpoints map to v = 0 or v = inf;
-            # an integrable integrand vanishes there, so score them as -inf.
-            t = np.asarray(t, float)
-            out = np.full(t.shape, -np.inf)
-            ok = (t > 0.0) & (t < 1.0)
-            v = t[ok] / (1.0 - t[ok])
-            with np.errstate(all="ignore"):
-                out[ok] = f(v) - 2.0 * np.log1p(-t[ok])
-            return out
-
-        return _log_integrate_unit(log_g, spec.rel_tol, spec.max_subdivisions)
-
-    # Split at 1; the tail integral uses x = 1/u with Jacobian u^{-2}.
-    def log_g_head(t):
-        t = np.asarray(t, float)
-        out = np.full(t.shape, -np.inf)
-        ok = t > 0.0
-        with np.errstate(all="ignore"):
-            out[ok] = f(t[ok])
-        return out
-
-    def log_g_tail(u):
-        u = np.asarray(u, float)
-        out = np.full(u.shape, -np.inf)
-        ok = u > 0.0
-        with np.errstate(all="ignore"):
-            out[ok] = f(1.0 / u[ok]) - 2.0 * np.log(u[ok])
-        return out
-
-    budget = max(1, spec.max_subdivisions // 2)
-    lo = _log_integrate_unit(log_g_head, spec.rel_tol, budget)
-    hi = _log_integrate_unit(log_g_tail, spec.rel_tol, budget)
-    return float(np.logaddexp(lo, hi))
-
-
 def _log_expm1(w):
     """log(e^w - 1), elementwise, stable for both tiny and huge w."""
     w = np.asarray(w, float)
@@ -206,6 +131,30 @@ def _log_expm1(w):
     out[small] = np.log(np.expm1(w[small]))
     out[~small] = w[~small] + np.log1p(-np.exp(-w[~small]))
     return out
+
+
+def _compound_log_g(log_f_lv):
+    """Pull a log integrand of log v back to t in (0, 1) by v = exp(w) - 1, w = t/(1-t).
+
+    ``log_f_lv`` must map a 1-d array of log v to an array of the same shape.
+    Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf; an integrable
+    integrand vanishes there, so they score -inf.
+    """
+    def log_g(t):
+        out = np.full(t.shape, -np.inf)
+        ok = (t > 0.0) & (t < 1.0)
+        w = t[ok] / (1.0 - t[ok])
+        lv = _log_expm1(w)
+        with np.errstate(all="ignore"):
+            vals = log_f_lv(lv)
+            if np.shape(vals) != lv.shape:
+                raise ValueError(f"log integrand returned shape {np.shape(vals)} "
+                                 f"for {lv.shape} points of log v")
+            # dv = e^w dw contributes the +w term.
+            out[ok] = vals + w - 2.0 * np.log1p(-t[ok])
+        return out
+
+    return log_g
 
 
 def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec | None = None) -> float:
@@ -218,20 +167,7 @@ def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec | None 
     """
     if spec is None:
         spec = QuadratureSpec()
-    f = _as_vectorized(log_f_lv)
-
-    def log_g(t):
-        t = np.asarray(t, float)
-        out = np.full(t.shape, -np.inf)
-        ok = (t > 0.0) & (t < 1.0)
-        w = t[ok] / (1.0 - t[ok])
-        lv = _log_expm1(w)
-        with np.errstate(all="ignore"):
-            # dv = e^w dw contributes the +w term.
-            out[ok] = f(lv) + w - 2.0 * np.log1p(-t[ok])
-        return out
-
-    return _log_integrate_unit(log_g, spec.rel_tol, spec.max_subdivisions)
+    return _log_integrate_unit(_compound_log_g(log_f_lv), spec.rel_tol, spec.max_subdivisions)
 
 
 def _cell_log_masses(t, logg):
@@ -274,20 +210,9 @@ class LogDensityGridSampler:
     """
 
     def __init__(self, log_density_lv, refine_tol=1e-6, n_init=64, max_nodes=1 << 14):
-        f = _as_vectorized(log_density_lv)
-
-        def log_g(t):
-            out = np.full_like(t, -np.inf)
-            interior = (t > 0.0) & (t < 1.0)
-            w = t[interior] / (1.0 - t[interior])
-            lv = _log_expm1(w)
-            with np.errstate(all="ignore"):
-                out[interior] = f(lv) + w - 2.0 * np.log1p(-t[interior])
-            return out
-
+        log_g = _compound_log_g(log_density_lv)
         n = n_init
         prev_cdf = None
-        prev_t = None
         while True:
             t = np.linspace(0.0, 1.0, n + 1)
             logg = log_g(t)
@@ -306,7 +231,6 @@ class LogDensityGridSampler:
                 if change < refine_tol or 2 * n > max_nodes:
                     break
             prev_cdf = cdf
-            prev_t = t
             n *= 2
         self._t = t
         self._cdf = cdf

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .levy_models import ModelKind, ModelParamsR, log_pi_n_lv, log_psi_lv
-from .numerics import LogDensityGridSampler, QuadratureSpec, log_integrate_halfline_logv
+from .numerics import QuadratureSpec, log_integrate_halfline_logv
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "RejectionCapError",
 ]
 
-DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9)
+DEFAULT_SPEC = QuadratureSpec()
 
 # Both new-cluster formulations are always computed; a disagreement beyond this
 # bound indicates a quadrature failure rather than roundoff.
@@ -59,7 +59,7 @@ class PredictiveWeights:
         return vec
 
 
-def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv, *, _log_pi_offset=0.0):
+def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
     """log g_r(v, n) as a function of lv = log v.
 
     Working from log v keeps the Gamma-family tail (where v overflows a float
@@ -73,22 +73,18 @@ def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv, *, _log_pi_offs
            + (n - 1) * lv
            - math.lgamma(n))
     for ni in config.counts:
-        out = out + log_pi_n_lv(model, ni, lv) + _log_pi_offset
+        out = out + log_pi_n_lv(model, ni, lv)
     if np.ndim(lv) == 0:
         return float(out)
     return out
 
 
-def log_g_r(params: ModelParamsR, config: Configuration, v, *, _log_pi_offset=0.0):
-    """log of the auxiliary density kernel g_r(v, n) (unnormalized in v).
-
-    ``_log_pi_offset`` shifts every log pi_{n_i} term by a constant; it exists
-    only so tests can confirm the log-linear assembly.
-    """
+def log_g_r(params: ModelParamsR, config: Configuration, v):
+    """log of the auxiliary density kernel g_r(v, n) (unnormalized in v)."""
     v = np.asarray(v, float)
     with np.errstate(divide="ignore"):
         lv = np.log(v)
-    return _log_g_r_lv(params, config, lv, _log_pi_offset=_log_pi_offset)
+    return _log_g_r_lv(params, config, lv)
 
 
 def log_eppf(params: ModelParamsR, config: Configuration,
@@ -196,9 +192,8 @@ def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng,
                         max_rejects: int = 100_000) -> float:
     """One draw of a tied jump size given the auxiliary variable.
 
-    The target density is s^{n_i} e^{-vs} rho(s) / pi_{n_i}(v).  For the
-    built-in models this is a (possibly truncated) gamma law; the generic
-    model falls back on grid inverse-CDF sampling.
+    The target density is s^{n_i} e^{-vs} rho(s) / pi_{n_i}(v), a gamma law,
+    truncated to (0, 1] for the truncated stable model.
     """
     if v <= 0.0:
         raise ValueError("v must be positive")
@@ -212,24 +207,10 @@ def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng,
         return rng.gamma(n_i - a, 1.0 / (1.0 + v))
     if model.kind is ModelKind.STABLE:
         return rng.gamma(n_i - a, 1.0 / v)
-    if model.kind is ModelKind.TRUNCATED_STABLE:
-        for _ in range(max_rejects):
-            s = rng.gamma(n_i - a, 1.0 / v)
-            if 0.0 < s <= 1.0:
-                return s
-        raise RejectionCapError(
-            f"no draw in (0,1] after {max_rejects} gamma proposals (v={v}, n_i={n_i})")
-    rho = model.density
-
-    def log_dens_lv(ls):
-        ls = np.atleast_1d(np.asarray(ls, float))
-        out = np.full(ls.shape, -np.inf)
-        ok = ls < 690.0
-        s = np.exp(ls[ok])
-        dens = np.array([rho(float(x)) for x in s])
-        with np.errstate(divide="ignore"):
-            out[ok] = n_i * ls[ok] + np.log(dens) - v * s
-        return out
-
-    sampler = LogDensityGridSampler(log_dens_lv)
-    return sampler.sample(rng)
+    # Truncated stable: reject the untruncated gamma law's draws beyond 1.
+    for _ in range(max_rejects):
+        s = rng.gamma(n_i - a, 1.0 / v)
+        if 0.0 < s <= 1.0:
+            return s
+    raise RejectionCapError(
+        f"no draw in (0,1] after {max_rejects} gamma proposals (v={v}, n_i={n_i})")

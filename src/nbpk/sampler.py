@@ -30,26 +30,15 @@ __all__ = [
     "kn_posterior_mc",
 ]
 
-# New-block weight variants for the conditional prediction rule: "blocks" uses
-# r + (number of blocks), "observations" uses r + (number of observations).
-# "blocks" is the default; the small-sample exactness tests adjudicate.
-NEW_BLOCK_VARIANTS = ("blocks", "observations")
-
 
 @dataclass
 class ChainState:
     config: Optional[Configuration]
-    v: Optional[float]
+    # The auxiliary variable as log v: with the gamma intensity the chain
+    # visits v beyond float range while log v stays representable.
+    lv: float
     step: int
     rng: np.random.Generator
-    # log of v, kept alongside because with the gamma intensity the chain
-    # visits v beyond float range while log v stays representable; the
-    # assignment weights are computed from this field.
-    lv: Optional[float] = None
-
-    def __post_init__(self):
-        if self.lv is None and self.v is not None:
-            self.lv = math.log(self.v)
 
 
 @dataclass(frozen=True)
@@ -93,12 +82,10 @@ def sample_v(params: ModelParamsR, config: Configuration, rng) -> float:
     return _v_sampler(params, config.sorted_counts()).sample(rng)
 
 
-def _log_step_weights_lv(params: ModelParamsR, counts: Tuple[int, ...], lv,
-                         new_block_weight: str):
+def _log_step_weights_lv(params: ModelParamsR, counts: Tuple[int, ...], lv):
     """Log conditional prediction weights at log v; shape (k+1,) + lv shape."""
     model = params.model
-    count = len(counts) if new_block_weight == "blocks" else sum(counts)
-    rows = [math.log(params.r + count)
+    rows = [math.log(params.r + len(counts))
             + log_pi_n_lv(model, 1, lv) - log_psi_lv(model, lv)]
     for ni in counts:
         rows.append(log_pi_n_lv(model, ni + 1, lv) - log_pi_n_lv(model, ni, lv))
@@ -106,8 +93,8 @@ def _log_step_weights_lv(params: ModelParamsR, counts: Tuple[int, ...], lv,
 
 
 @lru_cache(maxsize=4096)
-def _chain_v_sampler(params: ModelParamsR, sorted_counts: Tuple[int, ...],
-                     new_block_weight: str) -> LogDensityGridSampler:
+def _chain_v_sampler(params: ModelParamsR,
+                     sorted_counts: Tuple[int, ...]) -> LogDensityGridSampler:
     """Sampler for the V draw that precedes an assignment step.
 
     The density is proportional to v * A(v) * g_r(v, n), where A(v) is the sum
@@ -123,33 +110,25 @@ def _chain_v_sampler(params: ModelParamsR, sorted_counts: Tuple[int, ...],
 
     def log_density(lv):
         lv = np.asarray(lv, float)
-        la = np.logaddexp.reduce(
-            _log_step_weights_lv(params, sorted_counts, lv, new_block_weight), axis=0)
+        la = np.logaddexp.reduce(_log_step_weights_lv(params, sorted_counts, lv), axis=0)
         return lv + la + _log_g_r_lv(params, config, lv)
 
     return LogDensityGridSampler(log_density)
 
 
-def _step_weights(params: ModelParamsR, config: Configuration, v: float,
-                  new_block_weight: str = "blocks") -> np.ndarray:
+def _step_weights(params: ModelParamsR, config: Configuration, v: float) -> np.ndarray:
     """Normalized probabilities (new block, block 1, ..., block k) at fixed v."""
-    if new_block_weight not in NEW_BLOCK_VARIANTS:
-        raise ValueError(f"unknown new-block variant {new_block_weight!r}")
-    logw = _log_step_weights_lv(params, config.counts, math.log(v), new_block_weight)
+    logw = _log_step_weights_lv(params, config.counts, math.log(v))
     w = np.exp(logw - logw.max())
     return w / w.sum()
 
 
-def urn_step(params: ModelParamsR, state: ChainState,
-             new_block_weight: str = "blocks") -> ChainState:
-    """Assign the next observation given the freshly sampled state.v."""
-    if new_block_weight not in NEW_BLOCK_VARIANTS:
-        raise ValueError(f"unknown new-block variant {new_block_weight!r}")
+def urn_step(params: ModelParamsR, state: ChainState) -> ChainState:
+    """Assign the next observation given the freshly sampled state.lv."""
     if state.config is None:
         # First observation always opens a block.
-        return ChainState(Configuration((1,)), state.v, state.step + 1, state.rng,
-                          lv=state.lv)
-    logw = _log_step_weights_lv(params, state.config.counts, state.lv, new_block_weight)
+        return ChainState(Configuration((1,)), state.lv, state.step + 1, state.rng)
+    logw = _log_step_weights_lv(params, state.config.counts, state.lv)
     w = np.exp(logw - logw.max())
     probs = w / w.sum()
     u = state.rng.random()
@@ -159,12 +138,11 @@ def urn_step(params: ModelParamsR, state: ChainState,
         config = state.config.append_block()
     else:
         config = state.config.add_one(idx - 1)
-    return ChainState(config, state.v, state.step + 1, state.rng, lv=state.lv)
+    return ChainState(config, state.lv, state.step + 1, state.rng)
 
 
 def run_chain(params: ModelParamsR, n_target: int, seed: int,
-              keep_v_trace: bool = False,
-              new_block_weight: str = "blocks") -> GibbsSampleRecord:
+              keep_v_trace: bool = False) -> GibbsSampleRecord:
     """Grow a partition of n_target observations; deterministic given the seed."""
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -174,18 +152,16 @@ def run_chain(params: ModelParamsR, n_target: int, seed: int,
     lv0 = _v_sampler(params, (1,)).sample_lv(rng)
     if trace is not None:
         trace.append(_capped_exp(lv0))
-    state = ChainState(None, _capped_exp(lv0), 0, rng, lv=lv0)
-    state = urn_step(params, state, new_block_weight)
+    state = urn_step(params, ChainState(None, lv0, 0, rng))
     while state.step < n_target:
         # Each subsequent V is drawn from the prediction-tilted density (see
         # _chain_v_sampler); the assignment step then uses the conditional
         # prediction rule at that V.
-        sampler = _chain_v_sampler(params, state.config.sorted_counts(), new_block_weight)
+        sampler = _chain_v_sampler(params, state.config.sorted_counts())
         lv = sampler.sample_lv(rng)
         if trace is not None:
             trace.append(_capped_exp(lv))
-        state = ChainState(state.config, _capped_exp(lv), state.step, rng, lv=lv)
-        state = urn_step(params, state, new_block_weight)
+        state = urn_step(params, ChainState(state.config, lv, state.step, rng))
     config = state.config
     return GibbsSampleRecord(
         final_config=config,
@@ -196,8 +172,8 @@ def run_chain(params: ModelParamsR, n_target: int, seed: int,
     )
 
 
-def kn_posterior_mc(params: ModelParamsR, n: int, replications: int, seed: int,
-                    new_block_weight: str = "blocks") -> Dict[int, int]:
+def kn_posterior_mc(params: ModelParamsR, n: int, replications: int,
+                    seed: int) -> Dict[int, int]:
     """Monte Carlo histogram of the number of blocks after n observations.
 
     Replication j runs with chain seed seed + j, so results merge
@@ -207,6 +183,6 @@ def kn_posterior_mc(params: ModelParamsR, n: int, replications: int, seed: int,
         raise ValueError("replications must be >= 1")
     hist: Dict[int, int] = {}
     for j in range(replications):
-        rec = run_chain(params, n, seed + j, new_block_weight=new_block_weight)
+        rec = run_chain(params, n, seed + j)
         hist[rec.k] = hist.get(rec.k, 0) + 1
     return hist

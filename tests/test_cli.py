@@ -1,10 +1,12 @@
 """Command-line entry point, driven through main(argv)."""
 
+import inspect
 import json
 
 import pytest
 
 from nbpk.cli import main
+from nbpk.numerics import LogDensityGridSampler, QuadratureSpec
 
 PD_ARGS = ["--model", "gengamma", "--alpha", "0.5", "--r", "2"]
 
@@ -91,7 +93,14 @@ def test_counts_file(tmp_path, capsys):
 
 def test_show_config(capsys):
     assert main(["--show-config"]) == 0
-    assert "default.seed" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    printed = {key.strip(): value.strip() for key, value in (l.split(" = ", 1) for l in lines)}
+    assert "default.seed" in printed
+    spec = QuadratureSpec()
+    refine_tol = inspect.signature(LogDensityGridSampler).parameters["refine_tol"].default
+    assert float(printed["quadrature.rel_tol"]) == spec.rel_tol
+    assert int(printed["quadrature.max_subdiv"]) == spec.max_subdivisions
+    assert float(printed["v_sampler.refine_tol"]) == refine_tol
 
 
 def test_no_command_exits_2(capsys):

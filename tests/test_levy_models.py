@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 from nbpk.levy_models import (
-    InvalidDensityError,
     LevyModel,
     ModelParamsR,
     log_pi_n,
@@ -134,15 +133,6 @@ def test_lower_incomplete_gamma():
         lower_incomplete_gamma(0.0, 1.0)
 
 
-def test_generic_model_matches_gamma_family():
-    generic = LevyModel.generic(lambda x: 1.5 * math.exp(-x) / x)
-    ref = LevyModel.gamma(1.5)
-    for v in (0.1, 1.0, 10.0):
-        assert psi(generic, v) == pytest.approx(psi(ref, v), rel=1e-6)
-        for n in (1, 2, 4):
-            assert log_pi_n(generic, n, v) == pytest.approx(log_pi_n(ref, n, v), rel=1e-6)
-
-
 def test_parameter_validation():
     for bad in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ValueError):
@@ -155,11 +145,6 @@ def test_parameter_validation():
         LevyModel.gamma(0.0)
     with pytest.raises(ValueError):
         ModelParamsR(LevyModel.gamma(1.0), 0.0)
-
-
-def test_generic_density_probe_rejects_junk():
-    with pytest.raises(InvalidDensityError):
-        LevyModel.generic(lambda x: -1.0)
 
 
 def test_log_pi_n_domain_errors():

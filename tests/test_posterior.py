@@ -49,13 +49,6 @@ def test_g_r_integrates_to_one_single_block():
         assert log_eppf(params, Configuration((1,))) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_log_g_r_scaling_hook():
-    cfg = Configuration((2, 1, 1))
-    base = log_g_r(PD_HALF, cfg, 0.7)
-    shifted = log_g_r(PD_HALF, cfg, 0.7, _log_pi_offset=0.3)
-    assert shifted - base == pytest.approx(cfg.k * 0.3, abs=1e-12)
-
-
 def test_eppf_pd_fixed_values():
     assert log_eppf(PD_HALF, Configuration((2,))) == pytest.approx(math.log(0.25), abs=1e-8)
     assert log_eppf(PD_HALF, Configuration((1, 1))) == pytest.approx(math.log(0.75), abs=1e-8)
@@ -195,15 +188,6 @@ def test_jump_sampler_rejection_cap():
     # proposal mean 1500, so landing in (0, 1] within 50 tries is hopeless
     with pytest.raises(RejectionCapError):
         sample_jump_given_v(params, 2, 0.001, rng, max_rejects=50)
-
-
-def test_jump_sampler_generic_grid_path():
-    rng = np.random.default_rng(41)
-    generic = LevyModel.generic(lambda x: math.exp(-x) / x)
-    params = ModelParamsR(generic, 1.0)
-    draws = np.array([sample_jump_given_v(params, 3, 2.0, rng) for _ in range(20_000)])
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(draws.mean() - 1.0) < 3 * se
 
 
 def test_jump_sampler_domain_errors():

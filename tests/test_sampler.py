@@ -47,18 +47,9 @@ def test_step_weights_fixed_value():
     assert probs.sum() == pytest.approx(1.0)
 
 
-def test_step_weights_variants_differ():
-    cfg = Configuration((2,))  # k = 1, n = 2, so the variants disagree
-    blocks = _step_weights(PD_HALF, cfg, 1.0, "blocks")
-    obs = _step_weights(PD_HALF, cfg, 1.0, "observations")
-    assert blocks[0] < obs[0]
-    with pytest.raises(ValueError):
-        _step_weights(PD_HALF, cfg, 1.0, "bogus")
-
-
 def test_urn_step_first_observation():
     rng = np.random.default_rng(0)
-    state = ChainState(None, 1.0, 0, rng)
+    state = ChainState(None, 0.0, 0, rng)
     nxt = urn_step(PD_HALF, state)
     assert nxt.config.counts == (1,) and nxt.step == 1
 
@@ -108,7 +99,7 @@ def test_chain_v_conditional_matches_enlarged_density():
     # step follows the auxiliary density of that enlarged configuration
     params = GG_HEAVY_R
     cfg = Configuration((1,))
-    sampler = _chain_v_sampler(params, cfg.sorted_counts(), "blocks")
+    sampler = _chain_v_sampler(params, cfg.sorted_counts())
     rng = np.random.default_rng(71)
     joined, opened = [], []
     for _ in range(20_000):
@@ -147,10 +138,3 @@ def test_record_json_fields():
     assert obj["counts"] == list(rec.final_config.counts)
     assert obj["afs"] == list(rec.afs.m)
     assert len(obj["v_trace"]) == 4
-
-
-def test_invalid_variant_rejected():
-    rng = np.random.default_rng(0)
-    state = ChainState(Configuration((2,)), 1.0, 2, rng)
-    with pytest.raises(ValueError):
-        urn_step(PD_HALF, state, "neither")
