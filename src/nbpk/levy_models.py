@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaincc, hyp1f1
 
 __all__ = [
     "ModelKind",
@@ -93,43 +94,22 @@ class ModelParamsR:
 # Incomplete gamma kernel
 # ---------------------------------------------------------------------------
 
-_MAX_ITER = 500
+def _log_lower_gamma_lv(s: float, lv):
+    """log gamma(s, e^lv), vectorised over lv; v = e^lv may underflow or overflow.
 
-
-def _log_lower_series(s, x):
-    """log gamma(s,x) by the ascending series; reliable for x < s + 1."""
-    total = 1.0 / s
-    term = total
-    for k in range(1, _MAX_ITER):
-        term *= x / (s + k)
-        total += term
-        if term < total * 1e-17:
-            break
-    return s * math.log(x) - x + math.log(total)
-
-
-def _upper_regularized_cf(s, x):
-    """Q(s,x) = Gamma(s,x)/Gamma(s) by modified Lentz continued fraction; x >= s + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x + s * math.log(x) - math.lgamma(s)) * h
+    Below x = s + 1 it uses gamma(s, x) = x^s e^{-x} M(1, s + 1, x) / s with
+    Kummer's function M; above, Gamma(s) (1 - Q(s, x)) with the regularised
+    upper function Q, where x = inf gives Gamma(s).
+    """
+    lv = np.asarray(lv, float)
+    with np.errstate(over="ignore"):
+        x = np.exp(lv)
+    out = np.empty(lv.shape)
+    series = x < s + 1.0
+    xs = x[series]
+    out[series] = s * lv[series] - xs - math.log(s) + np.log(hyp1f1(1.0, s + 1.0, xs))
+    out[~series] = math.lgamma(s) + np.log1p(-gammaincc(s, x[~series]))
+    return out
 
 
 def log_lower_incomplete_gamma(s: float, x: float) -> float:
@@ -140,25 +120,13 @@ def log_lower_incomplete_gamma(s: float, x: float) -> float:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return -math.inf
-    if x < s + 1.0:
-        return _log_lower_series(s, x)
-    q = _upper_regularized_cf(s, x)
-    return math.lgamma(s) + math.log1p(-q)
+    return float(_log_lower_gamma_lv(s, math.log(x)))
 
 
 def lower_incomplete_gamma(s: float, x: float) -> float:
     """gamma(s, x), the lower incomplete gamma function; x = inf gives Gamma(s)."""
-    if x == math.inf:
-        return math.gamma(s) if s < 170 else math.exp(math.lgamma(s))
     lg = log_lower_incomplete_gamma(s, x)
     return 0.0 if lg == -math.inf else math.exp(lg)
-
-
-def _vec_log_lower_incomplete_gamma(s, x):
-    x = np.asarray(x, float)
-    if x.ndim == 0:
-        return log_lower_incomplete_gamma(s, float(x))
-    return np.array([log_lower_incomplete_gamma(s, xi) for xi in x.ravel()]).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +150,8 @@ def log_psi_lv(model: LevyModel, lv):
     elif model.kind is ModelKind.GENERALIZED_GAMMA:
         out = a * np.logaddexp(0.0, lv)
     else:  # truncated stable
-        out = np.empty_like(lv, dtype=float)
-        small = lv < math.log(700.0)
-        vs = np.exp(lv[small])
-        lg = _vec_log_lower_incomplete_gamma(1.0 - a, vs)
-        out[small] = np.logaddexp(-vs, a * lv[small] + lg)
-        out[~small] = a * lv[~small] + math.lgamma(1.0 - a)
+        with np.errstate(over="ignore"):
+            out = np.logaddexp(-np.exp(lv), a * lv + _log_lower_gamma_lv(1.0 - a, lv))
     if scalar:
         return float(out[0])
     return out
@@ -208,11 +172,7 @@ def log_pi_n_lv(model: LevyModel, n: int, lv):
         out = (math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a)
                + (a - n) * np.logaddexp(0.0, lv))
     else:  # truncated stable
-        out = np.empty_like(lv, dtype=float)
-        small = lv < math.log(700.0)
-        out[small] = _vec_log_lower_incomplete_gamma(n - a, np.exp(lv[small]))
-        out[~small] = math.lgamma(n - a)
-        out = out + math.log(a) + (a - n) * lv
+        out = math.log(a) + (a - n) * lv + _log_lower_gamma_lv(n - a, lv)
     out = np.asarray(out, float)
     if scalar:
         return float(out[0])
@@ -233,8 +193,8 @@ def psi(model: LevyModel, v):
         out = (1.0 + v) ** a
     else:  # truncated stable
         # Integration by parts of the defining integral over (0, 1].
-        glo = np.exp(_vec_log_lower_incomplete_gamma(1.0 - a, np.maximum(v, 1e-300)))
-        out = np.where(v == 0.0, 1.0, np.exp(-v) + v ** a * glo)
+        with np.errstate(divide="ignore"):
+            out = np.exp(-v) + v ** a * np.exp(_log_lower_gamma_lv(1.0 - a, np.log(v)))
     if np.ndim(v) == 0:
         return float(out)
     return out
@@ -260,7 +220,7 @@ def log_pi_n(model: LevyModel, n: int, v):
     elif model.kind is ModelKind.GENERALIZED_GAMMA:
         out = math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a) + (a - n) * np.log1p(v)
     else:  # truncated stable
-        out = math.log(a) + (a - n) * logv + _vec_log_lower_incomplete_gamma(n - a, v)
+        out = math.log(a) + (a - n) * logv + _log_lower_gamma_lv(n - a, logv)
     if np.ndim(v) == 0:
         return float(out)
     return np.asarray(out, float)

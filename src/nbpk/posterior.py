@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from scipy.special import gammainc, gammaincinv
 
 from .levy_models import ModelKind, ModelParamsR, log_pi_n_lv, log_psi_lv
 from .numerics import QuadratureSpec, log_integrate_halfline_logv
@@ -27,7 +28,6 @@ __all__ = [
     "check_prediction_sum",
     "check_partition_normalization",
     "sample_jump_given_v",
-    "RejectionCapError",
 ]
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -35,10 +35,6 @@ DEFAULT_SPEC = QuadratureSpec()
 # Both new-cluster formulations are always computed; a disagreement beyond this
 # bound indicates a quadrature failure rather than roundoff.
 _OMEGA0_GUARD = 1e-6
-
-
-class RejectionCapError(RuntimeError):
-    """Rejection sampling exceeded its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -188,8 +184,7 @@ def check_partition_normalization(params: ModelParamsR, n: int,
     return abs(total - 1.0)
 
 
-def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng,
-                        max_rejects: int = 100_000) -> float:
+def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng) -> float:
     """One draw of a tied jump size given the auxiliary variable.
 
     The target density is s^{n_i} e^{-vs} rho(s) / pi_{n_i}(v), a gamma law,
@@ -207,10 +202,9 @@ def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng,
         return rng.gamma(n_i - a, 1.0 / (1.0 + v))
     if model.kind is ModelKind.STABLE:
         return rng.gamma(n_i - a, 1.0 / v)
-    # Truncated stable: reject the untruncated gamma law's draws beyond 1.
-    for _ in range(max_rejects):
-        s = rng.gamma(n_i - a, 1.0 / v)
-        if 0.0 < s <= 1.0:
-            return s
-    raise RejectionCapError(
-        f"no draw in (0,1] after {max_rejects} gamma proposals (v={v}, n_i={n_i})")
+    # Truncated stable: invert the gamma(n_i - alpha, rate v) CDF restricted to (0, 1].
+    mass = gammainc(n_i - a, v)
+    if mass == 0.0:
+        raise ValueError(f"the truncated jump law underflows at v={v}, n_i={n_i}")
+    s = gammaincinv(n_i - a, (1.0 - rng.random()) * mass) / v
+    return min(s, 1.0)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,3 +184,32 @@ def test_history_newick():
         assert f"L{i}" in tree
     with pytest.raises(ValueError):
         history_to_newick(simulate_backward(Configuration((2, 1)), phi, seed=8))
+
+
+def test_h_solver_matches_scipy_expm(monkeypatch):
+    # scipy.linalg.expm is the reference here only; nbpk itself does not import it
+    from scipy.linalg import expm
+
+    from nbpk import coalescent
+
+    phis = [RateFunction(RateKind.TOTAL_N), RateFunction(RateKind.TOTAL_N_CHOOSE_2),
+            RateFunction(RateKind.CUSTOM, custom=lambda c: 3.0)]
+    starts = [m.to_configuration() for n in range(2, 13) for m in enumerate_afs(n)]
+    t_grid = (0.1, 1.0, 5.0, 20.0)
+    h0 = lambda c: c.k / c.n
+    got = [h_solver_exact(c, phi, h0=h0, t_grid=t_grid) for c in starts for phi in phis]
+    monkeypatch.setattr(coalescent, "_expm", expm)
+    want = [h_solver_exact(c, phi, h0=h0, t_grid=t_grid) for c in starts for phi in phis]
+    assert np.abs(np.array(got) - np.array(want)).max() < 1e-12
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.special is the only scipy module nbpk needs; scipy.linalg would add
+    # several MB of resident memory to every process that imports nbpk
+    import nbpk
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nbpk.__file__)))
+    code = "import sys, nbpk; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ defining integrals, plus the derivative chain pi_n = (-1)^{n-1} psi^{(n)}."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +13,8 @@ from scipy.special import gammainc
 from nbpk.levy_models import (
     LevyModel,
     ModelParamsR,
+    _log_lower_gamma_lv,
+    log_lower_incomplete_gamma,
     log_pi_n,
     log_pi_n_lv,
     log_psi,
@@ -116,12 +119,49 @@ def test_logv_domain_handles_huge_v():
 
 
 def test_truncated_stable_branch_continuity():
-    # the psi evaluation switches to an asymptotic form once v overflows exp;
-    # the two branches must join smoothly
+    # psi must join smoothly across v = 700, where exp(-v) is still
+    # representable but gamma(1 - alpha, v) equals Gamma(1 - alpha) in floats
     model = LevyModel.truncated_stable(0.3)
     below = log_psi_lv(model, math.log(700.0) - 1e-9)
     above = log_psi_lv(model, math.log(700.0) + 1e-9)
     assert below == pytest.approx(above, abs=1e-8)
+
+
+def _mp_log_lower_gamma(s, lv):
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.gammainc(s, 0, mpmath.exp(lv))))
+
+
+def test_truncated_stable_pi_n_continuous_at_700():
+    # gamma(n - alpha, 700) is not Gamma(n - alpha) once n - alpha exceeds about 560
+    model = LevyModel.truncated_stable(0.5)
+    for n in (600, 700):
+        below, above = math.log(700.0) - 1e-9, math.log(700.0) + 1e-9
+        got = [log_pi_n_lv(model, n, lv) for lv in (below, above)]
+        assert abs(got[1] - got[0]) < 2e-9 * n
+        for lv, g in zip((below, above), got):
+            want = math.log(0.5) + (0.5 - n) * lv + _mp_log_lower_gamma(n - 0.5, lv)
+            assert g == pytest.approx(want, rel=1e-13), (n, lv)
+
+
+def test_truncated_stable_pi_n_where_v_underflows():
+    # pi_n(v) -> alpha / (n - alpha) as v -> 0, also once exp(lv) underflows to 0
+    got = log_pi_n_lv(LevyModel.truncated_stable(0.5), 2, -800.0)
+    assert got == pytest.approx(math.log(0.5 / 1.5), abs=1e-12)
+
+
+def test_log_lower_gamma_kernel_against_mpmath():
+    lvs = np.concatenate([np.linspace(-800.0, 800.0, 81), np.linspace(-3.0, 7.5, 43)])
+    for n in (1, 2, 7, 50, 500, 1000):
+        s = n - 0.5
+        want = np.array([_mp_log_lower_gamma(s, lv) for lv in lvs])
+        got = _log_lower_gamma_lv(s, lvs)
+        assert got.shape == lvs.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"s = {s}")
+        for lv, w in zip(lvs[::9], want[::9]):
+            assert float(_log_lower_gamma_lv(s, np.float64(lv))) == pytest.approx(w, rel=1e-13)
+            if -700.0 < lv < 700.0:
+                assert log_lower_incomplete_gamma(s, math.exp(lv)) == pytest.approx(w, rel=1e-13)
 
 
 def test_lower_incomplete_gamma():

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from nbpk import reference
-from nbpk.levy_models import LevyModel, ModelParamsR
+from nbpk.levy_models import LevyModel, ModelParamsR, log_lower_incomplete_gamma
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
-    RejectionCapError,
     _log_omega0_direct,
     _log_omega0_tilted,
     check_prediction_sum,
@@ -182,12 +181,18 @@ def test_jump_sampler_truncated_support():
     assert all(0.0 < s <= 1.0 for s in draws)
 
 
-def test_jump_sampler_rejection_cap():
+def test_jump_sampler_truncated_small_v_mean():
+    # at v = 0.001 the untruncated gamma law has mean 1500, far outside (0, 1]
     rng = np.random.default_rng(3)
     params = ModelParamsR(LevyModel.truncated_stable(0.5), 1.0)
-    # proposal mean 1500, so landing in (0, 1] within 50 tries is hopeless
-    with pytest.raises(RejectionCapError):
-        sample_jump_given_v(params, 2, 0.001, rng, max_rejects=50)
+    v, k = 0.001, 2 - 0.5
+    draws = np.array([sample_jump_given_v(params, 2, v, rng) for _ in range(20_000)])
+    assert np.all((draws > 0.0) & (draws <= 1.0))
+    want = math.exp(log_lower_incomplete_gamma(k + 1, v) - log_lower_incomplete_gamma(k, v)) / v
+    se = draws.std(ddof=1) / math.sqrt(len(draws))
+    assert abs(draws.mean() - want) < 3 * se
+    with pytest.raises(ValueError):
+        sample_jump_given_v(params, 200, v, rng)  # P(199.5, 0.001) underflows
 
 
 def test_jump_sampler_domain_errors():
