@@ -9,7 +9,6 @@ prediction weights), ``gibbs`` (stream sampled partitions as JSON lines),
 from __future__ import annotations
 
 import argparse
-import inspect
 import math
 import sys
 from typing import List, Optional
@@ -27,7 +26,7 @@ from .coalescent import (
     simulate_backward,
 )
 from .levy_models import LevyModel, ModelParamsR, log_pi_n, psi
-from .numerics import LogDensityGridSampler, QuadratureError, QuadratureSpec
+from .numerics import QuadratureError, QuadratureSpec
 from .partitions import Configuration, enumerate_afs
 from .posterior import (
     check_partition_normalization,
@@ -365,10 +364,8 @@ def _cmd_validate(args) -> int:
 
 def _show_config():
     spec = QuadratureSpec()
-    refine_tol = inspect.signature(LogDensityGridSampler).parameters["refine_tol"].default
     print("quadrature.rel_tol      =", spec.rel_tol)
     print("quadrature.max_subdiv   =", spec.max_subdivisions)
-    print("v_sampler.refine_tol    =", refine_tol)
     print("default.seed            =", DEFAULT_SEED)
     print("default.phi             = n (total sample size)")
 

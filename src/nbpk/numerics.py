@@ -1,4 +1,4 @@
-"""Log-space adaptive quadrature on (0, infinity) and grid-based inverse-CDF sampling.
+"""Log-space adaptive quadrature on (0, infinity) and inverse-CDF sampling on its panels.
 
 Every integral in this package is of the form ``log I = log int_0^infty exp(log_f(v)) dv``
 where ``exp(log_f)`` would overflow or underflow in linear space.  The integrand
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,9 +70,22 @@ def _panel_log_values(log_g, a, b):
     return l7, l15
 
 
-def _log_integrate_unit(log_g, rel_tol, max_subdivisions, n_init=8):
-    """log int_0^1 exp(log_g(t)) dt by adaptive bisection with GL15/GL7 estimates."""
-    edges = np.linspace(0.0, 1.0, n_init + 1)
+class _Panels(NamedTuple):
+    """Converged panels of the adaptive bisection, in refinement order."""
+    a: np.ndarray       # left edges
+    b: np.ndarray       # right edges
+    l15: np.ndarray     # log integrand at each panel's GL15 nodes, shape (panels, 15)
+    shift: float        # log scale of the masses below; -inf for an identically zero integrand
+    mass: np.ndarray    # GL15 estimate of each panel's integral, divided by e^shift
+
+
+def _log_integrate_unit(log_g, rel_tol, max_subdivisions) -> _Panels:
+    """Adaptive bisection of (0, 1) with GL15/GL7 estimates until the GL15 total converges.
+
+    This is the package's one adaptive engine: the integrator sums the returned
+    panel masses and the grid sampler builds its CDF from the same panels.
+    """
+    edges = np.linspace(0.0, 1.0, 9)
     a = edges[:-1].copy()
     b = edges[1:].copy()
     l7, l15 = _panel_log_values(log_g, a, b)
@@ -82,7 +95,7 @@ def _log_integrate_unit(log_g, rel_tol, max_subdivisions, n_init=8):
         m = max(l7.max(initial=-np.inf), l15.max(initial=-np.inf))
         if not np.isfinite(m):
             # Integrand is identically zero (all log values -inf).
-            return -np.inf
+            return _Panels(a, b, l15, -np.inf, np.zeros(len(a)))
         half = 0.5 * (b - a)
         s7 = half * (np.exp(l7 - m) @ _GL7[1])
         s15 = half * (np.exp(l15 - m) @ _GL15[1])
@@ -90,7 +103,7 @@ def _log_integrate_unit(log_g, rel_tol, max_subdivisions, n_init=8):
         total = s15.sum()
         total_err = err.sum()
         if total > 0.0 and total_err <= rel_tol * total:
-            return m + math.log(total)
+            return _Panels(a, b, l15, m, s15)
 
         # Split every panel whose error exceeds its fair share of the budget;
         # always split at least the worst one.
@@ -167,7 +180,10 @@ def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec | None 
     """
     if spec is None:
         spec = QuadratureSpec()
-    return _log_integrate_unit(_compound_log_g(log_f_lv), spec.rel_tol, spec.max_subdivisions)
+    panels = _log_integrate_unit(_compound_log_g(log_f_lv), spec.rel_tol, spec.max_subdivisions)
+    if panels.shift == -np.inf:
+        return -np.inf
+    return panels.shift + math.log(panels.mass.sum())
 
 
 def _cell_log_masses(t, logg):
@@ -200,40 +216,39 @@ class LogDensityGridSampler:
     """Inverse-CDF sampler for an unnormalized log density on (0, infinity).
 
     The log density is supplied as a function of log v.  The half line is
-    mapped to (0, 1) by the same compound coordinate the log-v integrator
-    uses (v = exp(w) - 1, w = t/(1-t)); the transformed log density is
-    tabulated on a uniform grid that is doubled until the normalized CDF is
-    stable, and draws invert the piecewise-exponential interpolant within the
-    selected cell.  Draws are capped at 1e300 so downstream arithmetic stays
-    finite; the probability mass affected is negligible for any density this
-    package samples.
+    mapped to (0, 1) by the compound coordinate of the log-v integrator, and
+    the integrator's converged panels (at ``QuadratureSpec()`` tolerances)
+    carry the CDF: each panel holds its GL15 mass, spread over
+    piecewise-exponential cells through the panel edges and its 15 GL nodes.
+    Draws invert the exponential within the selected cell.  A density the
+    integrator cannot resolve raises ``QuadratureError``.  Draws are capped at
+    1e300 so downstream arithmetic stays finite; the probability mass affected
+    is negligible for any density this package samples.
     """
 
-    def __init__(self, log_density_lv, refine_tol=1e-6, n_init=64, max_nodes=1 << 14):
+    def __init__(self, log_density_lv):
+        spec = QuadratureSpec()
         log_g = _compound_log_g(log_density_lv)
-        n = n_init
-        prev_cdf = None
-        while True:
-            t = np.linspace(0.0, 1.0, n + 1)
-            logg = log_g(t)
-            if np.isnan(logg).any():
-                raise ValueError("log density returned NaN")
-            logm, l0, l1 = _cell_log_masses(t, logg)
-            top = logm.max()
-            if not np.isfinite(top):
-                raise ValueError("degenerate grid: log density is -inf everywhere")
-            masses = np.exp(logm - top)
-            cdf = np.concatenate([[0.0], np.cumsum(masses)])
-            cdf /= cdf[-1]
-            if prev_cdf is not None:
-                # Compare at the coarse grid's nodes.
-                change = np.abs(cdf[::2] - prev_cdf).max()
-                if change < refine_tol or 2 * n > max_nodes:
-                    break
-            prev_cdf = cdf
-            n *= 2
+        panels = _log_integrate_unit(log_g, spec.rel_tol, spec.max_subdivisions)
+        if panels.shift == -np.inf:
+            raise ValueError("degenerate grid: log density is -inf everywhere")
+        order = np.argsort(panels.a)
+        a, b = panels.a[order], panels.b[order]
+        nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GL15[0]
+        ledge = log_g(np.append(a, 1.0))
+        if np.isnan(ledge).any():
+            raise QuadratureError("log integrand returned NaN")
+        t = np.append(np.column_stack([a, nodes]).ravel(), 1.0)
+        logg = np.append(np.column_stack([ledge[:-1], panels.l15[order]]).ravel(), ledge[-1])
+        logm, l0, l1 = _cell_log_masses(t, logg)
+        # Rescale each panel's 16 cells to the panel's GL15 mass.
+        logm = logm.reshape(len(a), 16)
+        top = logm.max(axis=1, keepdims=True)
+        rel = np.exp(logm - np.where(np.isfinite(top), top, 0.0))
+        masses = rel * (panels.mass[order] / np.maximum(rel.sum(axis=1), 1.0))[:, None]
+        cdf = np.concatenate([[0.0], np.cumsum(masses)])
         self._t = t
-        self._cdf = cdf
+        self._cdf = cdf / cdf[-1]
         self._l0 = l0
         self._l1 = l1
         self._h = np.diff(t)
@@ -260,6 +275,3 @@ class LogDensityGridSampler:
         lv = self.sample_lv(rng)
         v = math.exp(lv) if lv < 690.0 else math.inf
         return min(v, 1e300)
-
-    def sample_many(self, n, rng):
-        return np.array([self.sample(rng) for _ in range(n)])

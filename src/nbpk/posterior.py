@@ -32,10 +32,6 @@ __all__ = [
 
 DEFAULT_SPEC = QuadratureSpec()
 
-# Both new-cluster formulations are always computed; a disagreement beyond this
-# bound indicates a quadrature failure rather than roundoff.
-_OMEGA0_GUARD = 1e-6
-
 
 @dataclass(frozen=True)
 class PredictiveWeights:
@@ -115,32 +111,17 @@ def _log_omega0_direct(params, config, spec):
     return math.log(params.r + k) - math.log(n) + _log_moment(params, config, extra, spec)
 
 
-def _log_omega0_tilted(params, config, spec):
-    """Same weight via r/n int v pi_1 g_{r+1} dv."""
-    model = params.model
-    bumped = ModelParamsR(model, params.r + 1.0)
-
-    def extra(lv):
-        return lv + log_pi_n_lv(model, 1, lv)
-
-    return math.log(params.r) - math.log(config.n) + _log_moment(bumped, config, extra, spec)
-
-
 def predictive_weights(params: ModelParamsR, config: Configuration,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> PredictiveWeights:
     """Raw prediction weights (omega_0, omega_1..omega_k) and the log EPPF.
 
-    The new-cluster weight is computed by two algebraically equal routes (the
-    direct form and the tilted r+1 form) as a built-in cross-check.
+    The weights are checked by the prediction-sum identity (see
+    ``check_prediction_sum`` and ``normalized_predictive``).  The tilted form
+    r/n int v pi_1 g_{r+1} dv of omega_0 is not a second check: since
+    g_{r+1} = g_r (r+k) / (r psi), its integrand equals the direct one pointwise.
     """
     model = params.model
-    lo0a = _log_omega0_direct(params, config, spec)
-    lo0b = _log_omega0_tilted(params, config, spec)
-    if abs(lo0a - lo0b) > _OMEGA0_GUARD:
-        raise RuntimeError(
-            f"new-cluster weight routes disagree: {lo0a} vs {lo0b} "
-            f"(model {model.describe()}, config {config})")
-    omega0 = math.exp(0.5 * (lo0a + lo0b))
+    omega0 = math.exp(_log_omega0_direct(params, config, spec))
 
     omegas = []
     for ni in config.counts:

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from nbpk import reference
-from nbpk.levy_models import LevyModel, ModelParamsR, log_lower_incomplete_gamma
+from nbpk.levy_models import LevyModel, ModelParamsR, log_lower_incomplete_gamma, log_pi_n_lv
+from nbpk.numerics import log_integrate_halfline_logv
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
+    _log_g_r_lv,
     _log_omega0_direct,
-    _log_omega0_tilted,
     check_prediction_sum,
     check_partition_normalization,
     log_eppf,
@@ -94,12 +95,16 @@ def test_predictive_single_block_sums_to_eppf():
 
 
 def test_omega0_routes_agree():
+    # omega_0 = r/n int v pi_1 g_{r+1} dv as well, since g_{r+1} = g_r (r+k) / (r psi).
     from nbpk.posterior import DEFAULT_SPEC
     for params in FOUR_MODELS:
+        bumped = ModelParamsR(params.model, params.r + 1.0)
         for counts in [(2, 1), (3,), (1, 1, 1)]:
             cfg = Configuration(counts)
             a = _log_omega0_direct(params, cfg, DEFAULT_SPEC)
-            b = _log_omega0_tilted(params, cfg, DEFAULT_SPEC)
+            b = math.log(params.r / cfg.n) + log_integrate_halfline_logv(
+                lambda lv: lv + log_pi_n_lv(params.model, 1, lv) + _log_g_r_lv(bumped, cfg, lv),
+                DEFAULT_SPEC)
             assert abs(a - b) < 1e-8
 
 

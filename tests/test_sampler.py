@@ -77,11 +77,9 @@ def test_run_chain_pair_probability():
     assert abs(hits / reps - 0.25) < 3 * se
 
 
-def test_chain_matches_partition_distribution_small_n():
-    # a fast version of the exactness check, one non-trivial model
+def _chain_chi2_p(params, n, reps, seed0):
+    """Chi-square p of run_chain's multiplicity classes against the EPPF."""
     from scipy.stats import chisquare
-    params = ModelParamsR(LevyModel.stable(0.5), 1.5)
-    n, reps = 3, 20_000
     classes = enumerate_afs(n)
     probs = np.array([math.exp(log_partition_coefficient(m)
                                + log_eppf(params, m.to_configuration()))
@@ -89,9 +87,19 @@ def test_chain_matches_partition_distribution_small_n():
     index = {m.m: j for j, m in enumerate(classes)}
     counts = np.zeros(len(classes))
     for j in range(reps):
-        counts[index[run_chain(params, n, 9000 + j).afs.m]] += 1
-    _, pval = chisquare(counts, probs / probs.sum() * reps)
-    assert pval > 0.001
+        counts[index[run_chain(params, n, seed0 + j).afs.m]] += 1
+    return chisquare(counts, probs / probs.sum() * reps)[1]
+
+
+def test_chain_matches_partition_distribution_small_n():
+    # a fast version of the exactness check, one non-trivial model
+    assert _chain_chi2_p(ModelParamsR(LevyModel.stable(0.5), 1.5), 3, 20_000, 9000) > 0.001
+
+
+def test_chain_matches_partition_distribution_small_alpha_stable():
+    # The v^(k alpha - 1) singularity of the V density at v = 0 is sharp for
+    # alpha = 0.2; a V sampler that does not resolve it biases the partition law.
+    assert _chain_chi2_p(ModelParamsR(LevyModel.stable(0.2), 0.5), 4, 40_000, 2_000_000) > 0.001
 
 
 def test_chain_v_conditional_matches_enlarged_density():
