@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from typing import List, Optional
 
 import numpy as np
@@ -112,7 +113,7 @@ def _cmd_predict(args) -> int:
     rows = []
     for config in _configs_from_args(args):
         w = predictive_weights(params, config)
-        probs = normalized_predictive(params, config)
+        probs = w.normalized(config)
         rows.append([str(config), "new", f"{w.omega0:.12g}", f"{probs[0]:.12g}"])
         for i, (raw, pr) in enumerate(zip(w.omega, probs[1:]), start=1):
             rows.append([str(config), f"block{i}", f"{raw:.12g}", f"{pr:.12g}"])
@@ -357,7 +358,9 @@ def _cmd_validate(args) -> int:
         rows.append([suite, label, f"{value:.3g}", "PASS" if ok else "FAIL"])
 
     for name in suites:
+        start = time.perf_counter()
         _SUITE_FUNCS[name](args, add)
+        print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     _emit_table(rows, ["suite", "check", "value", "status"], args.csv)
     return 0 if all_ok else 1
 

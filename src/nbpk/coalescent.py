@@ -112,11 +112,14 @@ def backward_event_probabilities(params: ModelParamsR, config: Configuration,
                                  spec: QuadratureSpec = DEFAULT_SPEC):
     """Unnormalized backward event terms per block, and their total.
 
-    The total equals the EPPF value of the full configuration.
+    The total equals the EPPF value of the full configuration.  Blocks of
+    equal size leave the same reduced multiset, so each size's term is computed once.
     """
     if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
-    terms = [_backward_term(params, config, i, spec)[0] for i in range(config.k)]
+    index = {ni: i for i, ni in enumerate(config.counts)}
+    by_size = {ni: _backward_term(params, config, i, spec)[0] for ni, i in index.items()}
+    terms = [by_size[ni] for ni in config.counts]
     return np.array(terms), float(np.sum(terms))
 
 

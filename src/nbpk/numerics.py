@@ -54,9 +54,7 @@ _GL15 = np.polynomial.legendre.leggauss(15)
 
 
 def _panel_log_values(log_g, a, b):
-    """Evaluate log_g at the GL7 and GL15 nodes of the panels [a_i, b_i]."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
+    """log_g at the GL7 and GL15 nodes of panels [a_i, b_i]; shapes rows + (panels, 7 | 15)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     t7 = mid[:, None] + half[:, None] * _GL7[0][None, :]
@@ -65,62 +63,66 @@ def _panel_log_values(log_g, a, b):
     vals = log_g(flat)
     if np.isnan(vals).any():
         raise QuadratureError("log integrand returned NaN")
-    l7 = vals[: t7.size].reshape(t7.shape)
-    l15 = vals[t7.size:].reshape(t15.shape)
+    l7 = vals[..., : t7.size].reshape(vals.shape[:-1] + t7.shape)
+    l15 = vals[..., t7.size:].reshape(vals.shape[:-1] + t15.shape)
     return l7, l15
 
 
 class _Panels(NamedTuple):
-    """Converged panels of the adaptive bisection, in refinement order."""
+    """Converged panels in refinement order; rows is () for a 1-d integrand, else (m,)."""
     a: np.ndarray       # left edges
     b: np.ndarray       # right edges
-    l15: np.ndarray     # log integrand at each panel's GL15 nodes, shape (panels, 15)
-    shift: float        # log scale of the masses below; -inf for an identically zero integrand
-    mass: np.ndarray    # GL15 estimate of each panel's integral, divided by e^shift
+    l15: np.ndarray     # log integrand at each panel's GL15 nodes, shape rows + (panels, 15)
+    shift: np.ndarray   # log scale of each row's masses, shape rows; -inf for a row that is zero
+    mass: np.ndarray    # GL15 estimate of each panel's integral / e^shift, shape rows + (panels,)
 
 
 def _log_integrate_unit(log_g, rel_tol, max_subdivisions) -> _Panels:
-    """Adaptive bisection of (0, 1) with GL15/GL7 estimates until the GL15 total converges.
+    """Adaptive GL15/GL7 bisection of (0, 1) until every row's GL15 total converges.
 
     This is the package's one adaptive engine: the integrator sums the returned
-    panel masses and the grid sampler builds its CDF from the same panels.
+    panel masses and the grid sampler builds its CDF from the same panels.  All
+    rows share the panels; each row has its own shift and its own test
+    err_j <= rel_tol * total_j.
     """
     edges = np.linspace(0.0, 1.0, 9)
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
+    a, b = edges[:-1], edges[1:]
     l7, l15 = _panel_log_values(log_g, a, b)
     splits = 0
 
     while True:
-        m = max(l7.max(initial=-np.inf), l15.max(initial=-np.inf))
-        if not np.isfinite(m):
-            # Integrand is identically zero (all log values -inf).
-            return _Panels(a, b, l15, -np.inf, np.zeros(len(a)))
+        m = np.maximum(l7.max(axis=(-2, -1), initial=-np.inf),
+                       l15.max(axis=(-2, -1), initial=-np.inf))
+        # A row that is -inf everywhere is identically zero: zero masses, shift -inf.
+        dead = ~np.isfinite(m)
+        live_m = np.where(dead, 0.0, m)[..., None, None]
         half = 0.5 * (b - a)
-        s7 = half * (np.exp(l7 - m) @ _GL7[1])
-        s15 = half * (np.exp(l15 - m) @ _GL15[1])
+        s7 = half * (np.exp(l7 - live_m) @ _GL7[1])
+        s15 = half * (np.exp(l15 - live_m) @ _GL15[1])
         err = np.abs(s15 - s7)
-        total = s15.sum()
-        total_err = err.sum()
-        if total > 0.0 and total_err <= rel_tol * total:
+        total = s15.sum(axis=-1)
+        total_err = err.sum(axis=-1)
+        done = dead | ((total > 0.0) & (total_err <= rel_tol * total))
+        if done.all():
             return _Panels(a, b, l15, m, s15)
 
-        # Split every panel whose error exceeds its fair share of the budget;
-        # always split at least the worst one.
-        if total > 0.0:
-            thresh = rel_tol * total / len(err)
-            to_split = np.flatnonzero(err > thresh)
-        else:
-            to_split = np.array([], dtype=int)
+        # Split every panel whose error exceeds an unconverged row's fair share
+        # of that row's budget; always split at least the worst one.
+        thresh = np.where(total > 0.0, rel_tol * total / len(a), np.inf)
+        open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))
+        to_split = np.flatnonzero((open_err > thresh.reshape(-1, 1)).any(axis=0))
         if to_split.size == 0:
-            to_split = np.array([int(np.argmax(err))])
+            to_split = np.array([int(np.argmax(open_err.max(axis=0)))])
         if splits + to_split.size > max_subdivisions:
-            best = m + math.log(total) if total > 0 else -np.inf
+            # Report the unconverged row with the largest relative error.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(total > 0.0, total_err / total, np.inf)
+            j = np.unravel_index(np.argmax(np.where(done, -np.inf, rel)), rel.shape)
             raise QuadratureError(
                 "adaptive quadrature did not converge within "
                 f"{max_subdivisions} subdivisions",
-                best_estimate=best,
-                error_bound=float(total_err / total) if total > 0 else math.inf,
+                best_estimate=m[j] + math.log(total[j]) if total[j] > 0 else -np.inf,
+                error_bound=float(rel[j]),
             )
         splits += to_split.size
 
@@ -132,8 +134,8 @@ def _log_integrate_unit(log_g, rel_tol, max_subdivisions) -> _Panels:
         nl7, nl15 = _panel_log_values(log_g, new_a, new_b)
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
-        l7 = np.concatenate([l7[keep], nl7])
-        l15 = np.concatenate([l15[keep], nl15])
+        l7 = np.concatenate([l7[..., keep, :], nl7], axis=-2)
+        l15 = np.concatenate([l15[..., keep, :], nl15], axis=-2)
 
 
 def _log_expm1(w):
@@ -149,41 +151,44 @@ def _log_expm1(w):
 def _compound_log_g(log_f_lv):
     """Pull a log integrand of log v back to t in (0, 1) by v = exp(w) - 1, w = t/(1-t).
 
-    ``log_f_lv`` must map a 1-d array of log v to an array of the same shape.
-    Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf; an integrable
-    integrand vanishes there, so they score -inf.
+    ``log_f_lv`` maps N values of log v to shape (N,), or (m, N) for m stacked
+    integrands.  Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf;
+    an integrable integrand vanishes there, so they score -inf.
     """
     def log_g(t):
-        out = np.full(t.shape, -np.inf)
         ok = (t > 0.0) & (t < 1.0)
         w = t[ok] / (1.0 - t[ok])
         lv = _log_expm1(w)
         with np.errstate(all="ignore"):
             vals = log_f_lv(lv)
-            if np.shape(vals) != lv.shape:
+            if np.ndim(vals) not in (1, 2) or np.shape(vals)[-1] != lv.size:
                 raise ValueError(f"log integrand returned shape {np.shape(vals)} "
                                  f"for {lv.shape} points of log v")
+            out = np.full(np.shape(vals)[:-1] + t.shape, -np.inf)
             # dv = e^w dw contributes the +w term.
-            out[ok] = vals + w - 2.0 * np.log1p(-t[ok])
+            out[..., ok] = vals + w - 2.0 * np.log1p(-t[ok])
         return out
 
     return log_g
 
 
-def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec | None = None) -> float:
+def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec | None = None):
     """log int_0^infty exp(log_f(v)) dv with the integrand given as a function of log v.
 
     Uses the compound map v = exp(w) - 1, w = t/(1-t).  Integrands whose tail
     decays only like a power of log v (the Gamma intensity family) keep a
     non-negligible share of their mass at v far beyond float range; in the w
     coordinate that tail is algebraic and the panel refinement resolves it.
+
+    A 1-d integrand gives a float; one returning (m, N) gives m logs from one
+    shared panel set, each to its own relative tolerance.
     """
     if spec is None:
         spec = QuadratureSpec()
     panels = _log_integrate_unit(_compound_log_g(log_f_lv), spec.rel_tol, spec.max_subdivisions)
-    if panels.shift == -np.inf:
-        return -np.inf
-    return panels.shift + math.log(panels.mass.sum())
+    with np.errstate(divide="ignore"):
+        logs = panels.shift + np.log(panels.mass.sum(axis=-1))
+    return float(logs) if logs.ndim == 0 else logs
 
 
 def _cell_log_masses(t, logg):

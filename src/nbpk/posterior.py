@@ -46,9 +46,22 @@ class PredictiveWeights:
     log_eppf: float
 
     def normalized(self, config: Configuration) -> np.ndarray:
+        """Probability vector (new cluster, block 1, ..., block k); raises if off 1 by > 1e-6."""
         p = math.exp(self.log_eppf)
         vec = np.array([self.omega0] + [w / config.n for w in self.omega]) / p
-        return vec
+        total = vec.sum()
+        if abs(total - 1.0) > 1e-6:
+            raise RuntimeError(f"predictive weights sum to {total}, expected 1")
+        return vec / total
+
+
+def _assemble_log_g_r(params: ModelParamsR, config: Configuration, lv, log_psi, log_pi):
+    """log g_r(v, n) from log psi(v) and log pi_{n_i}(v) keyed by block size."""
+    r, n, k = params.r, config.n, config.k
+    out = math.lgamma(r + k) - math.lgamma(r) - (r + k) * log_psi + (n - 1) * lv - math.lgamma(n)
+    for ni in config.counts:
+        out = out + log_pi[ni]
+    return out
 
 
 def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
@@ -58,17 +71,9 @@ def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
     but log v does not) evaluable; every integral below runs in this domain.
     """
     lv = np.asarray(lv, float)
-    model, r = params.model, params.r
-    n, k = config.n, config.k
-    out = (math.lgamma(r + k) - math.lgamma(r)
-           - (r + k) * log_psi_lv(model, lv)
-           + (n - 1) * lv
-           - math.lgamma(n))
-    for ni in config.counts:
-        out = out + log_pi_n_lv(model, ni, lv)
-    if np.ndim(lv) == 0:
-        return float(out)
-    return out
+    log_pi = {ni: log_pi_n_lv(params.model, ni, lv) for ni in set(config.counts)}
+    out = _assemble_log_g_r(params, config, lv, log_psi_lv(params.model, lv), log_pi)
+    return float(out) if np.ndim(lv) == 0 else out
 
 
 def log_g_r(params: ModelParamsR, config: Configuration, v):
@@ -85,63 +90,47 @@ def log_eppf(params: ModelParamsR, config: Configuration,
     return log_integrate_halfline_logv(lambda lv: _log_g_r_lv(params, config, lv), spec)
 
 
-def _log_moment(params, config, extra_log_factor_lv, spec):
-    """log int exp(extra(log v) + log g_r) dv for a vectorized extra log factor."""
-    def log_f(lv):
-        lv = np.asarray(lv, float)
-        return extra_log_factor_lv(lv) + _log_g_r_lv(params, config, lv)
-
-    return log_integrate_halfline_logv(log_f, spec)
-
-
 def log_v_moment(params: ModelParamsR, config: Configuration, power: float,
                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """log int v^power g_r(v, n) dv; subtract log_eppf for the posterior moment."""
-    return _log_moment(params, config, lambda lv: power * lv, spec)
-
-
-def _log_omega0_direct(params, config, spec):
-    """New-cluster weight via (r+k)/n int v pi_1/psi g_r dv."""
-    model = params.model
-    n, k = config.n, config.k
-
-    def extra(lv):
-        return lv + log_pi_n_lv(model, 1, lv) - log_psi_lv(model, lv)
-
-    return math.log(params.r + k) - math.log(n) + _log_moment(params, config, extra, spec)
+    return log_integrate_halfline_logv(
+        lambda lv: power * lv + _log_g_r_lv(params, config, lv), spec)
 
 
 def predictive_weights(params: ModelParamsR, config: Configuration,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> PredictiveWeights:
     """Raw prediction weights (omega_0, omega_1..omega_k) and the log EPPF.
 
-    The weights are checked by the prediction-sum identity (see
-    ``check_prediction_sum`` and ``normalized_predictive``).  The tilted form
-    r/n int v pi_1 g_{r+1} dv of omega_0 is not a second check: since
-    g_{r+1} = g_r (r+k) / (r psi), its integrand equals the direct one pointwise.
+    All are moments of g_r(v, n) from one quadrature pass on shared panels:
+    g_r (the EPPF), omega_0 = (r+k)/n int v pi_1/psi g_r dv and, once per
+    distinct block size, omega_i = int v pi_{n_i+1}/pi_{n_i} g_r dv.  They are
+    checked by the prediction-sum identity (``check_prediction_sum``,
+    ``PredictiveWeights.normalized``).  The tilted form r/n int v pi_1 g_{r+1} dv
+    of omega_0 is no second check: g_{r+1} = g_r (r+k) / (r psi) pointwise.
     """
     model = params.model
-    omega0 = math.exp(_log_omega0_direct(params, config, spec))
+    sizes = sorted(set(config.counts))
+    needed = {1, *sizes, *(s + 1 for s in sizes)}
 
-    omegas = []
-    for ni in config.counts:
-        def extra(lv, ni=ni):
-            return lv + log_pi_n_lv(model, ni + 1, lv) - log_pi_n_lv(model, ni, lv)
+    def log_f(lv):
+        log_psi = log_psi_lv(model, lv)
+        log_pi = {m: log_pi_n_lv(model, m, lv) for m in needed}
+        log_g = _assemble_log_g_r(params, config, lv, log_psi, log_pi)
+        rows = [log_g, lv + log_pi[1] - log_psi + log_g]
+        rows += [lv + log_pi[s + 1] - log_pi[s] + log_g for s in sizes]
+        return np.array(rows)
 
-        omegas.append(math.exp(_log_moment(params, config, extra, spec)))
-    return PredictiveWeights(omega0=omega0, omega=tuple(omegas),
-                             log_eppf=log_eppf(params, config, spec))
+    logs = log_integrate_halfline_logv(log_f, spec)
+    omega = dict(zip(sizes, np.exp(logs[2:]).tolist()))
+    log_omega0 = math.log(params.r + config.k) - math.log(config.n) + logs[1]
+    return PredictiveWeights(math.exp(log_omega0), tuple(omega[ni] for ni in config.counts),
+                             float(logs[0]))
 
 
 def normalized_predictive(params: ModelParamsR, config: Configuration,
                           spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """Probability vector (new cluster, block 1, ..., block k); sums to 1."""
-    w = predictive_weights(params, config, spec)
-    vec = w.normalized(config)
-    total = vec.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise RuntimeError(f"predictive weights sum to {total}, expected 1")
-    return vec / total
+    return predictive_weights(params, config, spec).normalized(config)
 
 
 def check_prediction_sum(params: ModelParamsR, config: Configuration,

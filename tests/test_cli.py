@@ -1,6 +1,7 @@
 """Command-line entry point, driven through main(argv)."""
 
 import json
+import re
 
 import pytest
 
@@ -60,6 +61,23 @@ def test_validate_multiple_suites(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "rfree" in out and "hsolver" in out
+
+
+def test_validate_times_each_suite_on_stderr(capsys):
+    argv = ["validate", "--suite", "pd", "--suite", "predsum"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n",
+                            captured.err)
+        outs.append(captured.out)
+    # The table alone goes to stdout, unchanged by the timings.
+    lines = outs[0].splitlines()
+    assert lines[0].split() == ["suite", "check", "value", "status"]
+    assert {l.split()[0] for l in lines[1:]} == {"pd", "predsum"}
+    assert all(l.endswith("PASS") for l in lines[1:])
+    assert outs[1] == outs[0]
 
 
 def test_coalescent_solve_h(capsys):

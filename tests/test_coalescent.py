@@ -46,6 +46,30 @@ def test_backward_terms_sum_to_eppf():
                 assert total == pytest.approx(want, rel=1e-5), (params, cfg)
 
 
+def test_backward_terms_one_pass_per_distinct_block_size(monkeypatch):
+    import nbpk.coalescent as coalescent
+    calls = []
+    original = coalescent.predictive_weights
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coalescent, "predictive_weights", counted)
+    for params in FOUR_MODELS:
+        for counts, passes in [((1, 1, 1, 1), 1), ((5, 3, 2, 1, 1), 4)]:
+            cfg = Configuration(counts)
+            calls.clear()
+            terms, total = backward_event_probabilities(params, cfg)
+            assert len(calls) == passes
+            for i in range(cfg.k):
+                for j in range(i):
+                    if counts[i] == counts[j]:
+                        assert terms[i] == terms[j]
+            want = math.exp(log_eppf(params, cfg))
+            assert total == pytest.approx(want, rel=1e-5), (params, cfg)
+
+
 def test_ratio_integrals_pd_fixed_values():
     cfg = Configuration((3, 1))
     for route in ("weights", "direct"):

@@ -16,7 +16,6 @@ from nbpk.numerics import log_integrate_halfline_logv
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
     _log_g_r_lv,
-    _log_omega0_direct,
     check_prediction_sum,
     check_partition_normalization,
     log_eppf,
@@ -101,7 +100,7 @@ def test_omega0_routes_agree():
         bumped = ModelParamsR(params.model, params.r + 1.0)
         for counts in [(2, 1), (3,), (1, 1, 1)]:
             cfg = Configuration(counts)
-            a = _log_omega0_direct(params, cfg, DEFAULT_SPEC)
+            a = math.log(predictive_weights(params, cfg, DEFAULT_SPEC).omega0)
             b = math.log(params.r / cfg.n) + log_integrate_halfline_logv(
                 lambda lv: lv + log_pi_n_lv(params.model, 1, lv) + _log_g_r_lv(bumped, cfg, lv),
                 DEFAULT_SPEC)
