@@ -10,12 +10,8 @@ from .levy_models import (
     LevyModel,
     ModelKind,
     ModelParamsR,
-    log_pi_n,
     log_pi_n_lv,
-    log_psi,
     log_psi_lv,
-    lower_incomplete_gamma,
-    psi,
 )
 from .numerics import (
     QuadratureError,
@@ -28,7 +24,6 @@ from .posterior import (
     check_prediction_sum,
     check_partition_normalization,
     log_eppf,
-    log_g_r,
     log_v_moment,
     normalized_predictive,
     predictive_weights,

@@ -26,8 +26,8 @@ from .coalescent import (
     ratio_integrals,
     simulate_backward,
 )
-from .levy_models import LevyModel, ModelParamsR, log_pi_n, psi
-from .numerics import QuadratureError, QuadratureSpec
+from .levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
+from .numerics import _DEFAULT_SPEC, QuadratureError
 from .partitions import Configuration, enumerate_afs
 from .posterior import (
     check_partition_normalization,
@@ -36,7 +36,7 @@ from .posterior import (
     normalized_predictive,
     predictive_weights,
 )
-from .sampler import kn_posterior_mc, run_chain
+from .sampler import run_chain
 
 DEFAULT_SEED = 1729
 
@@ -189,19 +189,26 @@ def _configs_up_to(n_max):
 
 
 def _suite_derivatives(args, add):
+    # psi' = pi_1 and pi_n = -pi_{n-1}' by central differences of the log-v kernels.
     vgrid = [0.01, 0.1, 1.0, 10.0, 100.0]
     for params in _default_models(args):
         model = params.model
+
+        def psi(v):
+            return math.exp(log_psi_lv(model, math.log(v)))
+
+        def pi(n, v):
+            return math.exp(log_pi_n_lv(model, n, math.log(v)))
+
         worst = 0.0
         for v in vgrid:
             h = 1e-5 * v
-            d_psi = (psi(model, v + h) - psi(model, v - h)) / (2 * h)
-            pi1 = math.exp(log_pi_n(model, 1, v))
+            d_psi = (psi(v + h) - psi(v - h)) / (2 * h)
+            pi1 = pi(1, v)
             worst = max(worst, abs(pi1 - d_psi) / pi1)
             for n in range(2, min(args.n_max, 10) + 1):
-                d_prev = (math.exp(log_pi_n(model, n - 1, v + h))
-                          - math.exp(log_pi_n(model, n - 1, v - h))) / (2 * h)
-                pin = math.exp(log_pi_n(model, n, v))
+                d_prev = (pi(n - 1, v + h) - pi(n - 1, v - h)) / (2 * h)
+                pin = pi(n, v)
                 worst = max(worst, abs(pin + d_prev) / pin)
         add("derivatives", model.describe(), worst, worst < 1e-5)
 
@@ -290,7 +297,7 @@ def _suite_hsolver(args, add):
 
 
 def _suite_vmoments(args, add):
-    from .posterior import log_eppf, log_v_moment
+    from .posterior import log_v_moment
     from .sampler import sample_v
     rng = np.random.default_rng(args.seed)
     # The auxiliary-variable moment E[V^m] is finite only when the psi tail
@@ -315,7 +322,7 @@ def _suite_vmoments(args, add):
 
 def _suite_gibbs(args, add):
     from scipy.stats import chisquare
-    from .partitions import log_partition_coefficient, afs as afs_of
+    from .partitions import log_partition_coefficient
     n = min(args.n_max, 4)
     for params in _default_models(args):
         classes = enumerate_afs(n)
@@ -366,9 +373,8 @@ def _cmd_validate(args) -> int:
 
 
 def _show_config():
-    spec = QuadratureSpec()
-    print("quadrature.rel_tol      =", spec.rel_tol)
-    print("quadrature.max_subdiv   =", spec.max_subdivisions)
+    print("quadrature.rel_tol      =", _DEFAULT_SPEC.rel_tol)
+    print("quadrature.max_subdiv   =", _DEFAULT_SPEC.max_subdivisions)
     print("default.seed            =", DEFAULT_SEED)
     print("default.phi             = n (total sample size)")
 
@@ -445,9 +451,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (QuadratureError,) as exc:
+    except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # Input the parser accepted but the model rejects, reported as argparse would.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,14 +14,14 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .levy_models import ModelParamsR, log_psi_lv
-from .numerics import QuadratureSpec, log_integrate_halfline_logv
+from .numerics import log_integrate_halfline_logv
 from .partitions import Configuration
-from .posterior import DEFAULT_SPEC, _log_g_r_lv, predictive_weights
+from .posterior import _log_g_r_lv, predictive_weights
 
 __all__ = [
     "EventKind",
@@ -92,8 +92,7 @@ class RateFunction:
         return rate
 
 
-def _backward_term(params: ModelParamsR, config: Configuration, i: int,
-                   spec: QuadratureSpec) -> Tuple[float, float]:
+def _backward_term(params: ModelParamsR, config: Configuration, i: int) -> Tuple[float, float]:
     """Block i's backward event term, and the log EPPF of the reduced configuration.
 
     Block i with n_i > 1 contributes (n_i/n) (1/(n-1)) omega_i evaluated on the
@@ -101,15 +100,14 @@ def _backward_term(params: ModelParamsR, config: Configuration, i: int,
     configuration.  Both come from one predictive_weights call.
     """
     n, ni = config.n, config.counts[i]
-    w = predictive_weights(params, config.remove_one(i), spec)
+    w = predictive_weights(params, config.remove_one(i))
     if ni > 1:
         # Block i keeps its position in the reduced configuration.
         return ni / n / (n - 1) * w.omega[i], w.log_eppf
     return w.omega0 / n, w.log_eppf
 
 
-def backward_event_probabilities(params: ModelParamsR, config: Configuration,
-                                 spec: QuadratureSpec = DEFAULT_SPEC):
+def backward_event_probabilities(params: ModelParamsR, config: Configuration):
     """Unnormalized backward event terms per block, and their total.
 
     The total equals the EPPF value of the full configuration.  Blocks of
@@ -118,7 +116,7 @@ def backward_event_probabilities(params: ModelParamsR, config: Configuration,
     if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
     index = {ni: i for i, ni in enumerate(config.counts)}
-    by_size = {ni: _backward_term(params, config, i, spec)[0] for ni, i in index.items()}
+    by_size = {ni: _backward_term(params, config, i)[0] for ni, i in index.items()}
     terms = [by_size[ni] for ni in config.counts]
     return np.array(terms), float(np.sum(terms))
 
@@ -204,8 +202,8 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     if h0 is None:
         h0 = lambda c: 1.0 if c.sorted_counts() == (1,) else 0.0
     t_grid = np.asarray(t_grid, float)
-    if np.any(t_grid < 0.0):
-        raise ValueError("times must be nonnegative")
+    if not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
+        raise ValueError("times must be finite and nonnegative")
 
     states = _reachable_states(config)
     index = {s: i for i, s in enumerate(states)}
@@ -233,8 +231,7 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
 
 
 def ratio_integrals(params: ModelParamsR, config: Configuration, i: int,
-                    route: str = "weights",
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                    route: str = "weights") -> float:
     """Normalized backward weight for block i: the event term over p(n - e_i).
 
     route="weights" divides the backward term by the reduced EPPF; route
@@ -245,7 +242,7 @@ def ratio_integrals(params: ModelParamsR, config: Configuration, i: int,
     if n < 2:
         raise ValueError("need a configuration with at least two observations")
     if route == "weights":
-        term, log_reduced = _backward_term(params, config, i, spec)
+        term, log_reduced = _backward_term(params, config, i)
         return float(term / math.exp(log_reduced))
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
@@ -264,7 +261,7 @@ def ratio_integrals(params: ModelParamsR, config: Configuration, i: int,
                 + math.lgamma(cfg.n)
             return lg + (cfg.k - kk) * log_psi_lv(params.model, lv)
 
-        return log_integrate_halfline_logv(log_f, spec)
+        return log_integrate_halfline_logv(log_f)
 
     if ni > 1:
         num = log_kernel(config, k)

@@ -3,7 +3,7 @@
 Four intensities are supported.  For each model the package needs two
 functionals of the intensity rho: ``psi(v) = 1 + int (1 - e^{-vx}) rho(x) dx``
 and the tilted moments ``pi_n(v) = int x^n rho(x) e^{-vx} dx``, both evaluated
-in closed form.
+in closed form and only from log v (:func:`log_psi_lv`, :func:`log_pi_n_lv`).
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ __all__ = [
     "ModelKind",
     "LevyModel",
     "ModelParamsR",
-    "psi",
-    "log_psi",
-    "log_pi_n",
-    "lower_incomplete_gamma",
-    "log_lower_incomplete_gamma",
+    "log_psi_lv",
+    "log_pi_n_lv",
 ]
 
 
@@ -112,29 +109,14 @@ def _log_lower_gamma_lv(s: float, lv):
     return out
 
 
-def log_lower_incomplete_gamma(s: float, x: float) -> float:
-    """log of gamma(s, x) = int_0^x t^{s-1} e^{-t} dt, stable down to tiny x."""
-    if s <= 0.0:
-        raise ValueError(f"s must be positive, got {s}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return -math.inf
-    return float(_log_lower_gamma_lv(s, math.log(x)))
-
-
-def lower_incomplete_gamma(s: float, x: float) -> float:
-    """gamma(s, x), the lower incomplete gamma function; x = inf gives Gamma(s)."""
-    lg = log_lower_incomplete_gamma(s, x)
-    return 0.0 if lg == -math.inf else math.exp(lg)
-
-
 # ---------------------------------------------------------------------------
 # psi and pi_n
 # ---------------------------------------------------------------------------
 
 def log_psi_lv(model: LevyModel, lv):
-    """log psi at v = exp(lv), stable for lv far beyond float overflow of v.
+    """log psi(v) at v = exp(lv), stable for lv far beyond float overflow of v.
+
+    psi(0) = 1 and psi increases with v.
 
     Posterior integrands of the Gamma family carry mass at astronomically
     large v (the tail decays only like a power of log v), so the auxiliary
@@ -149,7 +131,7 @@ def log_psi_lv(model: LevyModel, lv):
         out = np.log1p(th * np.logaddexp(0.0, lv))
     elif model.kind is ModelKind.GENERALIZED_GAMMA:
         out = a * np.logaddexp(0.0, lv)
-    else:  # truncated stable
+    else:  # truncated stable: integration by parts of the defining integral over (0, 1]
         with np.errstate(over="ignore"):
             out = np.logaddexp(-np.exp(lv), a * lv + _log_lower_gamma_lv(1.0 - a, lv))
     if scalar:
@@ -158,7 +140,7 @@ def log_psi_lv(model: LevyModel, lv):
 
 
 def log_pi_n_lv(model: LevyModel, n: int, lv):
-    """log pi_n at v = exp(lv); the log-v counterpart of :func:`log_pi_n`."""
+    """log pi_n(v) = log int x^n rho(x) e^{-vx} dx at v = exp(lv), for n >= 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     scalar = np.ndim(lv) == 0
@@ -177,50 +159,3 @@ def log_pi_n_lv(model: LevyModel, n: int, lv):
     if scalar:
         return float(out[0])
     return out
-
-
-def psi(model: LevyModel, v):
-    """1 + int (1 - e^{-vx}) rho(x) dx; equals 1 at v = 0 and increases with v."""
-    v = np.asarray(v, float)
-    if np.any(v < 0.0):
-        raise ValueError("v must be nonnegative")
-    a, th = model.alpha, model.theta
-    if model.kind is ModelKind.STABLE:
-        out = 1.0 + v ** a
-    elif model.kind is ModelKind.GAMMA:
-        out = 1.0 + th * np.log1p(v)
-    elif model.kind is ModelKind.GENERALIZED_GAMMA:
-        out = (1.0 + v) ** a
-    else:  # truncated stable
-        # Integration by parts of the defining integral over (0, 1].
-        with np.errstate(divide="ignore"):
-            out = np.exp(-v) + v ** a * np.exp(_log_lower_gamma_lv(1.0 - a, np.log(v)))
-    if np.ndim(v) == 0:
-        return float(out)
-    return out
-
-
-def log_psi(model: LevyModel, v):
-    return np.log(psi(model, v))
-
-
-def log_pi_n(model: LevyModel, n: int, v):
-    """log pi_n(v) = log int x^n rho(x) e^{-vx} dx for n >= 1, v > 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    v = np.asarray(v, float)
-    if np.any(v <= 0.0):
-        raise ValueError("v must be positive")
-    a, th = model.alpha, model.theta
-    logv = np.log(v)
-    if model.kind is ModelKind.STABLE:
-        out = math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a) + (a - n) * logv
-    elif model.kind is ModelKind.GAMMA:
-        out = math.log(th) + math.lgamma(n) - n * np.log1p(v)
-    elif model.kind is ModelKind.GENERALIZED_GAMMA:
-        out = math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a) + (a - n) * np.log1p(v)
-    else:  # truncated stable
-        out = math.log(a) + (a - n) * logv + _log_lower_gamma_lv(n - a, logv)
-    if np.ndim(v) == 0:
-        return float(out)
-    return np.asarray(out, float)

@@ -35,6 +35,11 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
+# The tolerances every integral and every V sampler reads, and that
+# ``nbpk --show-config`` prints.
+_DEFAULT_SPEC = QuadratureSpec()
+
+
 class QuadratureError(RuntimeError):
     """Raised when the adaptive integrator cannot reach the requested tolerance.
 
@@ -172,7 +177,7 @@ def _compound_log_g(log_f_lv):
     return log_g
 
 
-def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec | None = None):
+def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec = _DEFAULT_SPEC):
     """log int_0^infty exp(log_f(v)) dv with the integrand given as a function of log v.
 
     Uses the compound map v = exp(w) - 1, w = t/(1-t).  Integrands whose tail
@@ -183,8 +188,6 @@ def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec | None 
     A 1-d integrand gives a float; one returning (m, N) gives m logs from one
     shared panel set, each to its own relative tolerance.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     panels = _log_integrate_unit(_compound_log_g(log_f_lv), spec.rel_tol, spec.max_subdivisions)
     with np.errstate(divide="ignore"):
         logs = panels.shift + np.log(panels.mass.sum(axis=-1))
@@ -222,19 +225,16 @@ class LogDensityGridSampler:
 
     The log density is supplied as a function of log v.  The half line is
     mapped to (0, 1) by the compound coordinate of the log-v integrator, and
-    the integrator's converged panels (at ``QuadratureSpec()`` tolerances)
-    carry the CDF: each panel holds its GL15 mass, spread over
+    the integrator's converged panels (at the default ``QuadratureSpec``
+    tolerances) carry the CDF: each panel holds its GL15 mass, spread over
     piecewise-exponential cells through the panel edges and its 15 GL nodes.
-    Draws invert the exponential within the selected cell.  A density the
-    integrator cannot resolve raises ``QuadratureError``.  Draws are capped at
-    1e300 so downstream arithmetic stays finite; the probability mass affected
-    is negligible for any density this package samples.
+    Draws invert the exponential within the selected cell and are returned as
+    log v.  A density the integrator cannot resolve raises ``QuadratureError``.
     """
 
     def __init__(self, log_density_lv):
-        spec = QuadratureSpec()
         log_g = _compound_log_g(log_density_lv)
-        panels = _log_integrate_unit(log_g, spec.rel_tol, spec.max_subdivisions)
+        panels = _log_integrate_unit(log_g, _DEFAULT_SPEC.rel_tol, _DEFAULT_SPEC.max_subdivisions)
         if panels.shift == -np.inf:
             raise ValueError("degenerate grid: log density is -inf everywhere")
         order = np.argsort(panels.a)
@@ -275,8 +275,3 @@ class LogDensityGridSampler:
         t = min(max(t, 1e-300), 1.0 - 1e-16)
         w = t / (1.0 - t)
         return float(_log_expm1(w))
-
-    def sample(self, rng) -> float:
-        lv = self.sample_lv(rng)
-        v = math.exp(lv) if lv < 690.0 else math.inf
-        return min(v, 1e300)

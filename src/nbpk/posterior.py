@@ -1,8 +1,8 @@
 """Auxiliary-variable density, EPPF, predictive weights and identity checks.
 
-Everything is assembled in log space: products of tilted moments over blocks
-are sums of ``log_pi_n`` values, and all half-line integrals go through the
-shift-invariant quadrature in :mod:`nbpk.numerics`.
+Everything is assembled in log space from log v: products of tilted moments
+over blocks are sums of ``log_pi_n_lv`` values, and all half-line integrals go
+through the shift-invariant quadrature in :mod:`nbpk.numerics`.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv
 
 from .levy_models import ModelKind, ModelParamsR, log_pi_n_lv, log_psi_lv
-from .numerics import QuadratureSpec, log_integrate_halfline_logv
+from .numerics import log_integrate_halfline_logv
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 
 __all__ = [
     "PredictiveWeights",
-    "log_g_r",
     "log_eppf",
     "log_v_moment",
     "predictive_weights",
@@ -29,9 +28,6 @@ __all__ = [
     "check_partition_normalization",
     "sample_jump_given_v",
 ]
-
-DEFAULT_SPEC = QuadratureSpec()
-
 
 @dataclass(frozen=True)
 class PredictiveWeights:
@@ -76,29 +72,18 @@ def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
     return float(out) if np.ndim(lv) == 0 else out
 
 
-def log_g_r(params: ModelParamsR, config: Configuration, v):
-    """log of the auxiliary density kernel g_r(v, n) (unnormalized in v)."""
-    v = np.asarray(v, float)
-    with np.errstate(divide="ignore"):
-        lv = np.log(v)
-    return _log_g_r_lv(params, config, lv)
-
-
-def log_eppf(params: ModelParamsR, config: Configuration,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def log_eppf(params: ModelParamsR, config: Configuration) -> float:
     """log p(n): the auxiliary density integrated over the half line."""
-    return log_integrate_halfline_logv(lambda lv: _log_g_r_lv(params, config, lv), spec)
+    return log_integrate_halfline_logv(lambda lv: _log_g_r_lv(params, config, lv))
 
 
-def log_v_moment(params: ModelParamsR, config: Configuration, power: float,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def log_v_moment(params: ModelParamsR, config: Configuration, power: float) -> float:
     """log int v^power g_r(v, n) dv; subtract log_eppf for the posterior moment."""
     return log_integrate_halfline_logv(
-        lambda lv: power * lv + _log_g_r_lv(params, config, lv), spec)
+        lambda lv: power * lv + _log_g_r_lv(params, config, lv))
 
 
-def predictive_weights(params: ModelParamsR, config: Configuration,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> PredictiveWeights:
+def predictive_weights(params: ModelParamsR, config: Configuration) -> PredictiveWeights:
     """Raw prediction weights (omega_0, omega_1..omega_k) and the log EPPF.
 
     All are moments of g_r(v, n) from one quadrature pass on shared panels:
@@ -120,37 +105,34 @@ def predictive_weights(params: ModelParamsR, config: Configuration,
         rows += [lv + log_pi[s + 1] - log_pi[s] + log_g for s in sizes]
         return np.array(rows)
 
-    logs = log_integrate_halfline_logv(log_f, spec)
+    logs = log_integrate_halfline_logv(log_f)
     omega = dict(zip(sizes, np.exp(logs[2:]).tolist()))
     log_omega0 = math.log(params.r + config.k) - math.log(config.n) + logs[1]
     return PredictiveWeights(math.exp(log_omega0), tuple(omega[ni] for ni in config.counts),
                              float(logs[0]))
 
 
-def normalized_predictive(params: ModelParamsR, config: Configuration,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def normalized_predictive(params: ModelParamsR, config: Configuration) -> np.ndarray:
     """Probability vector (new cluster, block 1, ..., block k); sums to 1."""
-    return predictive_weights(params, config, spec).normalized(config)
+    return predictive_weights(params, config).normalized(config)
 
 
-def check_prediction_sum(params: ModelParamsR, config: Configuration,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def check_prediction_sum(params: ModelParamsR, config: Configuration) -> float:
     """Relative residual of omega_0 + (1/n) sum_i omega_i = int g_r dv."""
-    w = predictive_weights(params, config, spec)
+    w = predictive_weights(params, config)
     lhs = w.omega0 + sum(w.omega) / config.n
     rhs = math.exp(w.log_eppf)
     return abs(lhs - rhs) / rhs
 
 
-def check_partition_normalization(params: ModelParamsR, n: int,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def check_partition_normalization(params: ModelParamsR, n: int) -> float:
     """|sum over all multiplicity classes of coefficient * EPPF - 1| at sample size n."""
     if n > 12:
         raise ValueError("full-normalization check is intended for small n (<= 12)")
     total = 0.0
     for m in enumerate_afs(n):
         config = m.to_configuration()
-        total += math.exp(log_partition_coefficient(m) + log_eppf(params, config, spec))
+        total += math.exp(log_partition_coefficient(m) + log_eppf(params, config))
     return abs(total - 1.0)
 
 

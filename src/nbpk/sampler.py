@@ -79,7 +79,7 @@ def sample_v(params: ModelParamsR, config: Configuration, rng) -> float:
     The sampler grid depends on the configuration only through the block-size
     multiset, so grids are cached on the sorted counts.
     """
-    return _v_sampler(params, config.sorted_counts()).sample(rng)
+    return _capped_exp(_v_sampler(params, config.sorted_counts()).sample_lv(rng))
 
 
 def _log_step_weights_lv(params: ModelParamsR, counts: Tuple[int, ...], lv):

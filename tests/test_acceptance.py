@@ -20,7 +20,7 @@ from nbpk.coalescent import (
     ratio_integrals,
     simulate_backward,
 )
-from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n, psi
+from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
 from nbpk.partitions import Configuration, enumerate_afs, log_partition_coefficient
 from nbpk.posterior import (
     check_prediction_sum,
@@ -135,18 +135,24 @@ def test_criterion_05_prediction_closed_forms():
 
 
 def test_criterion_06_derivative_identities():
+    # psi' = pi_1 and pi_n = -pi_{n-1}', on the log-v kernels the package runs.
+    def psi(model, v):
+        return math.exp(log_psi_lv(model, math.log(v)))
+
+    def pi(model, n, v):
+        return math.exp(log_pi_n_lv(model, n, math.log(v)))
+
     worst = 0.0
     for params in FOUR_MODELS:
         model = params.model
         for v in (0.01, 0.1, 1.0, 10.0, 100.0):
             h = 1e-5 * v
             d_psi = (psi(model, v + h) - psi(model, v - h)) / (2 * h)
-            pi1 = math.exp(log_pi_n(model, 1, v))
+            pi1 = pi(model, 1, v)
             worst = max(worst, abs(pi1 - d_psi) / pi1)
             for n in range(2, 11):
-                d_prev = (math.exp(log_pi_n(model, n - 1, v + h))
-                          - math.exp(log_pi_n(model, n - 1, v - h))) / (2 * h)
-                pin = math.exp(log_pi_n(model, n, v))
+                d_prev = (pi(model, n - 1, v + h) - pi(model, n - 1, v - h)) / (2 * h)
+                pin = pi(model, n, v)
                 worst = max(worst, abs(pin + d_prev) / pin)
     _report(f"criterion 6 (derivative identities, worst rel err {worst:.3g})",
             worst < 1e-5)

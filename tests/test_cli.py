@@ -119,6 +119,18 @@ def test_show_config(capsys):
     assert int(printed["quadrature.max_subdiv"]) == spec.max_subdivisions
 
 
+@pytest.mark.parametrize("argv", [
+    ["eppf", *PD_ARGS, "--counts", "0,1"],
+    ["gibbs", *PD_ARGS, "--n", "0"],
+    ["coalescent", "--counts", "2", "--solve-h", "--t-grid", "0,nan"],
+])
+def test_rejected_input_exits_2_without_traceback(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .+\n", captured.err)
+
+
 def test_no_command_exits_2(capsys):
     assert main([]) == 2
 

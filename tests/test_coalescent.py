@@ -187,6 +187,14 @@ def test_h_solver_rejects_large_n():
         h_solver_exact(Configuration((2,)), phi, t_grid=(-1.0,))
 
 
+def test_h_solver_rejects_non_finite_times():
+    # nan fails t > 0 and would return the t = 0 value; inf would give nan
+    phi = RateFunction(RateKind.TOTAL_N)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            h_solver_exact(Configuration((2,)), phi, t_grid=(0.0, bad))
+
+
 def test_history_json_lines():
     phi = RateFunction(RateKind.TOTAL_N)
     hist = simulate_backward(Configuration((2, 1)), phi, seed=5)

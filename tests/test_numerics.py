@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from nbpk.levy_models import LevyModel, ModelParamsR
 from nbpk.numerics import (
     LogDensityGridSampler,
     QuadratureError,
     QuadratureSpec,
     log_integrate_halfline_logv,
 )
+from nbpk.partitions import Configuration
+from nbpk.sampler import _v_sampler, sample_v
 
 
 def test_exponential_integral_is_one():
@@ -175,15 +178,16 @@ def test_grid_sampler_deterministic():
     sampler = LogDensityGridSampler(_log_gamma_density_lv(2.0))
     other = LogDensityGridSampler(_log_gamma_density_lv(2.0))
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    a = [other.sample(rng_a) for _ in range(50)]
-    b = [sampler.sample(rng_b) for _ in range(50)]
+    a = [other.sample_lv(rng_a) for _ in range(50)]
+    b = [sampler.sample_lv(rng_b) for _ in range(50)]
     assert a == b
 
 
 def test_grid_sampler_sample_lv_consistent():
-    sampler = LogDensityGridSampler(_log_gamma_density_lv(2.0))
-    lv = sampler.sample_lv(np.random.default_rng(11))
-    v = sampler.sample(np.random.default_rng(11))
+    # sample_v reports v = exp of the grid sampler's log-v draw
+    params, config = ModelParamsR(LevyModel.gamma(1.0), 2.0), Configuration((2, 1))
+    lv = _v_sampler(params, config.sorted_counts()).sample_lv(np.random.default_rng(11))
+    v = sample_v(params, config, np.random.default_rng(11))
     assert v == pytest.approx(math.exp(lv))
 
 

@@ -7,11 +7,13 @@ exactly, and the stable model must reproduce the theta = 0 case for every r.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from nbpk import reference
-from nbpk.levy_models import LevyModel, ModelParamsR, log_lower_incomplete_gamma, log_pi_n_lv
+from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n_lv
 from nbpk.numerics import log_integrate_halfline_logv
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
@@ -19,7 +21,6 @@ from nbpk.posterior import (
     check_prediction_sum,
     check_partition_normalization,
     log_eppf,
-    log_g_r,
     log_v_moment,
     normalized_predictive,
     predictive_weights,
@@ -39,7 +40,7 @@ FOUR_MODELS = [
 def test_log_g_r_fixed_value():
     # hand assembly for the generalized-gamma model at v = 1:
     # r^{[k]} = 2, psi = 2^{0.5}, pi_1 = 0.5 * 2^{-0.5}, exponent r+k = 3
-    got = log_g_r(PD_HALF, Configuration((1,)), 1.0)
+    got = _log_g_r_lv(PD_HALF, Configuration((1,)), math.log(1.0))
     assert got == pytest.approx(math.log(0.25), abs=1e-12)
 
 
@@ -95,15 +96,13 @@ def test_predictive_single_block_sums_to_eppf():
 
 def test_omega0_routes_agree():
     # omega_0 = r/n int v pi_1 g_{r+1} dv as well, since g_{r+1} = g_r (r+k) / (r psi).
-    from nbpk.posterior import DEFAULT_SPEC
     for params in FOUR_MODELS:
         bumped = ModelParamsR(params.model, params.r + 1.0)
         for counts in [(2, 1), (3,), (1, 1, 1)]:
             cfg = Configuration(counts)
-            a = math.log(predictive_weights(params, cfg, DEFAULT_SPEC).omega0)
+            a = math.log(predictive_weights(params, cfg).omega0)
             b = math.log(params.r / cfg.n) + log_integrate_halfline_logv(
-                lambda lv: lv + log_pi_n_lv(params.model, 1, lv) + _log_g_r_lv(bumped, cfg, lv),
-                DEFAULT_SPEC)
+                lambda lv: lv + log_pi_n_lv(params.model, 1, lv) + _log_g_r_lv(bumped, cfg, lv))
             assert abs(a - b) < 1e-8
 
 
@@ -155,10 +154,62 @@ def test_log_v_moment_against_independent_quadrature():
     from scipy.integrate import quad
     params = ModelParamsR(LevyModel.generalized_gamma(0.7), 10.0)
     cfg = Configuration((2, 1))
-    want, _ = quad(lambda v: v * math.exp(log_g_r(params, cfg, v)), 0, np.inf,
+    want, _ = quad(lambda v: v * math.exp(_log_g_r_lv(params, cfg, math.log(v))), 0, np.inf,
                    limit=400, epsabs=0, epsrel=1e-10)
     got = math.exp(log_v_moment(params, cfg, 1.0))
     assert got == pytest.approx(want, rel=1e-7)
+
+
+def _mp_log_eppf(params, counts, limits):
+    """log p(n) by mpmath quadrature over log v, from mpmath's own closed forms.
+
+    Integrates g_r(v, n) v d(log v) with
+    g_r = Gamma(r+k) / (Gamma(r) Gamma(n)) psi^{-(r+k)} v^{n-1} prod_i pi_{n_i}.
+    """
+    model, n, k = params.model, sum(counts), len(counts)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(params.r)
+        if model.theta is not None:  # gamma
+            th = mpmath.mpf(model.theta)
+
+            def psi(v):
+                return 1 + th * mpmath.log1p(v)
+
+            def pi(m, v):
+                return th * mpmath.gamma(m) * (1 + v) ** (-m)
+        else:  # truncated stable
+            a = mpmath.mpf(model.alpha)
+
+            def psi(v):
+                return mpmath.exp(-v) + v ** a * mpmath.gammainc(1 - a, 0, v)
+
+            def pi(m, v):
+                return a * v ** (a - m) * mpmath.gammainc(m - a, 0, v)
+
+        def integrand(lv):
+            v = mpmath.exp(lv)
+            out = psi(v) ** (-(r + k)) * v ** n
+            for m in counts:
+                out *= pi(m, v)
+            return out
+
+        const = mpmath.gamma(r + k) / (mpmath.gamma(r) * mpmath.gamma(n))
+        return float(mpmath.log(const * mpmath.quad(integrand, limits)))
+
+
+def test_log_eppf_against_mpmath_oracle():
+    # The two families with no closed-form EPPF.  Gamma's tail decays only like
+    # a power of log v, so it is integrated to +inf; truncstable's integrand is
+    # below e^{-150} outside |log v| <= 200, where mpmath's gammainc stays fast.
+    cases = [
+        (ModelParamsR(LevyModel.gamma(1.0), 2.0), [-mpmath.inf, 0, mpmath.inf]),
+        (ModelParamsR(LevyModel.truncated_stable(0.5), 1.5), [-200, 0, 200]),
+    ]
+    for params, limits in cases:
+        for counts in [(1,), (2, 1), (3, 2, 1)]:
+            want = _mp_log_eppf(params, counts, limits)
+            got = log_eppf(params, Configuration(counts))
+            assert abs(got - want) < 1e-9, (params.model.describe(), counts, got, want)
 
 
 def test_jump_sampler_gamma_mean():
@@ -192,7 +243,8 @@ def test_jump_sampler_truncated_small_v_mean():
     v, k = 0.001, 2 - 0.5
     draws = np.array([sample_jump_given_v(params, 2, v, rng) for _ in range(20_000)])
     assert np.all((draws > 0.0) & (draws <= 1.0))
-    want = math.exp(log_lower_incomplete_gamma(k + 1, v) - log_lower_incomplete_gamma(k, v)) / v
+    # E[s] = gamma(k + 1, v) / (v gamma(k, v)), with gamma(k, v) = P(k, v) Gamma(k)
+    want = gammainc(k + 1, v) * math.gamma(k + 1) / (gammainc(k, v) * math.gamma(k)) / v
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - want) < 3 * se
     with pytest.raises(ValueError):

@@ -111,7 +111,7 @@ def test_chain_v_conditional_matches_enlarged_density():
     rng = np.random.default_rng(71)
     joined, opened = [], []
     for _ in range(20_000):
-        v = sampler.sample(rng)
+        v = math.exp(sampler.sample_lv(rng))
         probs = _step_weights(params, cfg, v)
         if rng.random() < probs[0]:
             opened.append(v)
