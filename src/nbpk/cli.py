@@ -114,9 +114,9 @@ def _cmd_predict(args) -> int:
     for config in _configs_from_args(args):
         w = predictive_weights(params, config)
         probs = w.normalized(config)
-        rows.append([str(config), "new", f"{w.omega0:.12g}", f"{probs[0]:.12g}"])
-        for i, (raw, pr) in enumerate(zip(w.omega, probs[1:]), start=1):
-            rows.append([str(config), f"block{i}", f"{raw:.12g}", f"{pr:.12g}"])
+        rows.append([str(config), "new", f"{math.exp(w.log_omega0):.12g}", f"{probs[0]:.12g}"])
+        for i, (log_raw, pr) in enumerate(zip(w.log_omega, probs[1:]), start=1):
+            rows.append([str(config), f"block{i}", f"{math.exp(log_raw):.12g}", f"{pr:.12g}"])
     _emit_table(rows, ["counts", "target", "raw_weight", "probability"], args.csv)
     return 0
 
@@ -454,8 +454,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # Input the parser accepted but the model rejects, reported as argparse would.
+    except (ValueError, OSError) as exc:
+        # Input the parser accepted but the model rejects, or a file that cannot
+        # be opened, reported as argparse would.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@
 A configuration shrinks by one observation per event: a within-block
 coalescence when the block has more than one member, or the removal of a
 singleton block.  The event probabilities come from the prediction weights on
-the reduced configuration; the continuous-time version attaches a
+the reduced configurations, all integrated in log space in one stacked
+quadrature pass per configuration; the continuous-time version attaches a
 configuration-level total rate and splits it across blocks in proportion to
 their sizes.
 """
@@ -18,10 +19,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .levy_models import ModelParamsR, log_psi_lv
+from .levy_models import ModelParamsR, log_pi_n_lv, log_psi_lv
 from .numerics import log_integrate_halfline_logv
 from .partitions import Configuration
-from .posterior import _log_g_r_lv, predictive_weights
+from .posterior import _assemble_log_g_r, _log_g_r_lv, log_eppf
 
 __all__ = [
     "EventKind",
@@ -92,33 +93,48 @@ class RateFunction:
         return rate
 
 
-def _backward_term(params: ModelParamsR, config: Configuration, i: int) -> Tuple[float, float]:
-    """Block i's backward event term, and the log EPPF of the reduced configuration.
+def _log_backward_terms(params: ModelParamsR, config: Configuration) -> np.ndarray:
+    """log of every block's backward event term, from one stacked quadrature pass.
 
-    Block i with n_i > 1 contributes (n_i/n) (1/(n-1)) omega_i evaluated on the
-    reduced configuration; a singleton contributes (1/n) omega_0 on the reduced
-    configuration.  Both come from one predictive_weights call.
+    Block i of size s > 1 contributes (s/n) (1/(n-1)) omega_i and a singleton
+    (1/n) omega_0, both prediction weights of the reduced configuration
+    n - e_i: omega_i = int v pi_s/pi_{s-1} g_r(v, n - e_i) dv and
+    omega_0 = (r+k-1)/(n-1) int v pi_1/psi g_r(v, n - e_i) dv.  Blocks of equal
+    size leave the same reduced multiset, so there is one row per distinct size.
     """
-    n, ni = config.n, config.counts[i]
-    w = predictive_weights(params, config.remove_one(i))
-    if ni > 1:
-        # Block i keeps its position in the reduced configuration.
-        return ni / n / (n - 1) * w.omega[i], w.log_eppf
-    return w.omega0 / n, w.log_eppf
+    model = params.model
+    n, k = config.n, config.k
+    sizes = sorted(set(config.counts))
+    reduced = [config.remove_one(config.counts.index(s)) for s in sizes]
+    needed = {1, *sizes, *(s - 1 for s in sizes if s > 1)}
+
+    def log_f(lv):
+        log_psi = log_psi_lv(model, lv)
+        log_pi = {m: log_pi_n_lv(model, m, lv) for m in needed}
+        rows = []
+        for s, red in zip(sizes, reduced):
+            tilt = log_pi[s] - log_pi[s - 1] if s > 1 else log_pi[1] - log_psi
+            rows.append(lv + tilt + _assemble_log_g_r(params, red, lv, log_psi, log_pi))
+        return np.array(rows)
+
+    logs = log_integrate_halfline_logv(log_f)
+    log_factor = [math.log(s / n / (n - 1)) if s > 1
+                  else math.log((params.r + k - 1) / (n - 1) / n) for s in sizes]
+    by_size = dict(zip(sizes, (logs + log_factor).tolist()))
+    return np.array([by_size[s] for s in config.counts])
 
 
 def backward_event_probabilities(params: ModelParamsR, config: Configuration):
     """Unnormalized backward event terms per block, and their total.
 
-    The total equals the EPPF value of the full configuration.  Blocks of
-    equal size leave the same reduced multiset, so each size's term is computed once.
+    The total equals the EPPF value of the full configuration.  The terms are
+    computed as logs (``_log_backward_terms``) and returned as linear floats,
+    so they underflow where the EPPF does.
     """
     if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
-    index = {ni: i for i, ni in enumerate(config.counts)}
-    by_size = {ni: _backward_term(params, config, i)[0] for ni, i in index.items()}
-    terms = [by_size[ni] for ni in config.counts]
-    return np.array(terms), float(np.sum(terms))
+    log_terms = _log_backward_terms(params, config)
+    return np.exp(log_terms), math.exp(np.logaddexp.reduce(log_terms))
 
 
 def transition_rates(config: Configuration, phi: RateFunction) -> np.ndarray:
@@ -242,8 +258,8 @@ def ratio_integrals(params: ModelParamsR, config: Configuration, i: int,
     if n < 2:
         raise ValueError("need a configuration with at least two observations")
     if route == "weights":
-        term, log_reduced = _backward_term(params, config, i)
-        return float(term / math.exp(log_reduced))
+        log_term = _log_backward_terms(params, config)[i]
+        return math.exp(log_term - log_eppf(params, config.remove_one(i)))
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
 

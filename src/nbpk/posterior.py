@@ -31,24 +31,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PredictiveWeights:
-    """Raw prediction weights: new-cluster weight, per-block weights, log normalizer.
+    """Logs of the raw prediction weights (new cluster, per block) and of their normalizer.
 
     The raw weights satisfy omega0 + (1/n) sum_i omega_i = exp(log_eppf);
-    they are *not* probabilities until divided by the EPPF value.
+    they are *not* probabilities until divided by the EPPF value.  They are
+    kept as logs because the EPPF underflows a float once n reaches a few
+    hundred.
     """
 
-    omega0: float
-    omega: Tuple[float, ...]
+    log_omega0: float
+    log_omega: Tuple[float, ...]
     log_eppf: float
+
+    def _log_terms(self, config: Configuration) -> np.ndarray:
+        """log omega0 and log(omega_i / n): the terms of the prediction sum."""
+        log_n = math.log(config.n)
+        return np.array([self.log_omega0] + [lw - log_n for lw in self.log_omega])
 
     def normalized(self, config: Configuration) -> np.ndarray:
         """Probability vector (new cluster, block 1, ..., block k); raises if off 1 by > 1e-6."""
-        p = math.exp(self.log_eppf)
-        vec = np.array([self.omega0] + [w / config.n for w in self.omega]) / p
-        total = vec.sum()
-        if abs(total - 1.0) > 1e-6:
+        logs = self._log_terms(config)
+        log_total = np.logaddexp.reduce(logs)
+        total = math.exp(log_total - self.log_eppf)
+        if not abs(total - 1.0) <= 1e-6:
             raise RuntimeError(f"predictive weights sum to {total}, expected 1")
-        return vec / total
+        return np.exp(logs - log_total)
 
 
 def _assemble_log_g_r(params: ModelParamsR, config: Configuration, lv, log_psi, log_pi):
@@ -106,9 +113,9 @@ def predictive_weights(params: ModelParamsR, config: Configuration) -> Predictiv
         return np.array(rows)
 
     logs = log_integrate_halfline_logv(log_f)
-    omega = dict(zip(sizes, np.exp(logs[2:]).tolist()))
-    log_omega0 = math.log(params.r + config.k) - math.log(config.n) + logs[1]
-    return PredictiveWeights(math.exp(log_omega0), tuple(omega[ni] for ni in config.counts),
+    log_omega = dict(zip(sizes, logs[2:].tolist()))
+    log_omega0 = math.log(params.r + config.k) - math.log(config.n) + float(logs[1])
+    return PredictiveWeights(log_omega0, tuple(log_omega[ni] for ni in config.counts),
                              float(logs[0]))
 
 
@@ -120,9 +127,7 @@ def normalized_predictive(params: ModelParamsR, config: Configuration) -> np.nda
 def check_prediction_sum(params: ModelParamsR, config: Configuration) -> float:
     """Relative residual of omega_0 + (1/n) sum_i omega_i = int g_r dv."""
     w = predictive_weights(params, config)
-    lhs = w.omega0 + sum(w.omega) / config.n
-    rhs = math.exp(w.log_eppf)
-    return abs(lhs - rhs) / rhs
+    return abs(math.expm1(np.logaddexp.reduce(w._log_terms(config)) - w.log_eppf))
 
 
 def check_partition_normalization(params: ModelParamsR, n: int) -> float:

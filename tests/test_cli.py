@@ -131,6 +131,18 @@ def test_rejected_input_exits_2_without_traceback(argv, capsys):
     assert re.fullmatch(r"error: .+\n", captured.err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eppf", *PD_ARGS, "--counts-file", "{missing}/counts.txt"],
+    ["gibbs", *PD_ARGS, "--n", "2", "--out", "{missing}/x.jsonl"],
+])
+def test_unopenable_file_exits_2_without_traceback(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: .*No such file.*{re.escape(str(missing))}.*\n", captured.err)
+
+
 def test_no_command_exits_2(capsys):
     assert main([]) == 2
 

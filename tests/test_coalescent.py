@@ -11,6 +11,7 @@ import pytest
 
 from nbpk import reference
 from nbpk.coalescent import (
+    _log_backward_terms,
     EventKind,
     RateFunction,
     RateKind,
@@ -24,7 +25,7 @@ from nbpk.coalescent import (
 )
 from nbpk.levy_models import LevyModel, ModelParamsR
 from nbpk.partitions import Configuration, enumerate_afs
-from nbpk.posterior import log_eppf
+from nbpk.posterior import log_eppf, predictive_weights
 
 PD_HALF = ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0)  # theta = 1
 
@@ -46,28 +47,65 @@ def test_backward_terms_sum_to_eppf():
                 assert total == pytest.approx(want, rel=1e-5), (params, cfg)
 
 
-def test_backward_terms_one_pass_per_distinct_block_size(monkeypatch):
+def test_backward_terms_one_quadrature_pass(monkeypatch):
     import nbpk.coalescent as coalescent
-    calls = []
-    original = coalescent.predictive_weights
+    import nbpk.posterior as posterior
+    integrals, predictive = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counting(calls, original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(coalescent, "predictive_weights", counted)
+    for module in (coalescent, posterior):
+        monkeypatch.setattr(module, "log_integrate_halfline_logv",
+                            counting(integrals, module.log_integrate_halfline_logv))
+    monkeypatch.setattr(posterior, "predictive_weights",
+                        counting(predictive, posterior.predictive_weights))
     for params in FOUR_MODELS:
-        for counts, passes in [((1, 1, 1, 1), 1), ((5, 3, 2, 1, 1), 4)]:
+        for counts in [(1, 1, 1, 1), (5, 3, 2, 1, 1)]:
             cfg = Configuration(counts)
-            calls.clear()
+            integrals.clear()
+            predictive.clear()
             terms, total = backward_event_probabilities(params, cfg)
-            assert len(calls) == passes
+            assert len(integrals) == 1
+            assert predictive == []
             for i in range(cfg.k):
                 for j in range(i):
                     if counts[i] == counts[j]:
                         assert terms[i] == terms[j]
             want = math.exp(log_eppf(params, cfg))
             assert total == pytest.approx(want, rel=1e-5), (params, cfg)
+
+
+def _reduced_route_term(params, cfg, i):
+    """Block i's backward term from predictive_weights on n - e_i, as the addition rule builds it."""
+    n, ni = cfg.n, cfg.counts[i]
+    w = predictive_weights(params, cfg.remove_one(i))
+    if ni > 1:
+        return ni / n / (n - 1) * math.exp(w.log_omega[i])
+    return math.exp(w.log_omega0) / n
+
+
+def test_backward_terms_match_reduced_configuration_route():
+    configs = [m.to_configuration() for n in range(2, 7) for m in enumerate_afs(n)]
+    configs += [Configuration((5, 3, 2, 1, 1)), Configuration((10, 8, 6, 5, 4, 3, 2, 1, 1))]
+    for params in FOUR_MODELS:
+        for cfg in configs:
+            terms, _ = backward_event_probabilities(params, cfg)
+            for i in range(cfg.k):
+                want = _reduced_route_term(params, cfg, i)
+                assert terms[i] == pytest.approx(want, rel=1e-9), (params, cfg, i)
+
+
+def test_backward_log_total_is_log_eppf_at_large_n():
+    # The EPPF is below 1e-300 here, so only the log terms can be checked.
+    for params in FOUR_MODELS:
+        for counts in [(5,) * 60 + (100,), (200, 100, 50) + (1,) * 150]:
+            cfg = Configuration(counts)
+            log_total = np.logaddexp.reduce(_log_backward_terms(params, cfg))
+            assert abs(log_total - log_eppf(params, cfg)) < 1e-9, (params, cfg.n)
 
 
 def test_ratio_integrals_pd_fixed_values():

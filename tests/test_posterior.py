@@ -88,10 +88,20 @@ def test_predictive_pd_case():
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("counts", [(5,) * 60 + (100,), (200, 100, 50) + (1,) * 150])
+def test_predictive_where_eppf_underflows(counts):
+    # log p(n) is about -1377 and -739 here: exp(log_eppf) is 0.0 or subnormal,
+    # so linear weights divided by it came out NaN or summed to 0.847.
+    cfg = Configuration(counts)
+    want = reference.pd_predictive(0.5, 1.0, counts)
+    assert normalized_predictive(PD_HALF, cfg) == pytest.approx(want, rel=1e-9, abs=0)
+    assert check_prediction_sum(PD_HALF, cfg) < 1e-9
+
+
 def test_predictive_single_block_sums_to_eppf():
     for params in FOUR_MODELS:
         w = predictive_weights(params, Configuration((1,)))
-        assert w.omega0 + w.omega[0] == pytest.approx(1.0, abs=1e-7)
+        assert math.exp(w.log_omega0) + math.exp(w.log_omega[0]) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_omega0_routes_agree():
@@ -100,7 +110,7 @@ def test_omega0_routes_agree():
         bumped = ModelParamsR(params.model, params.r + 1.0)
         for counts in [(2, 1), (3,), (1, 1, 1)]:
             cfg = Configuration(counts)
-            a = math.log(predictive_weights(params, cfg).omega0)
+            a = predictive_weights(params, cfg).log_omega0
             b = math.log(params.r / cfg.n) + log_integrate_halfline_logv(
                 lambda lv: lv + log_pi_n_lv(params.model, 1, lv) + _log_g_r_lv(bumped, cfg, lv))
             assert abs(a - b) < 1e-8
@@ -143,9 +153,9 @@ def test_addition_rule():
                 red = cfg.remove_one(i)
                 w = predictive_weights(params, red)
                 if ni > 1:
-                    total += ni / n / (n - 1) * w.omega[i]
+                    total += ni / n / (n - 1) * math.exp(w.log_omega[i])
                 else:
-                    total += w.omega0 / n
+                    total += math.exp(w.log_omega0) / n
             p = math.exp(log_eppf(params, cfg))
             assert total == pytest.approx(p, rel=1e-5)
 
