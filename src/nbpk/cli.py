@@ -27,7 +27,7 @@ from .coalescent import (
     simulate_backward,
 )
 from .levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
-from .numerics import _DEFAULT_SPEC, QuadratureError
+from .numerics import _DEFAULT_SPEC, _INITIAL_PANELS, _RULE_NAME, QuadratureError
 from .partitions import Configuration, enumerate_afs
 from .posterior import (
     check_partition_normalization,
@@ -373,10 +373,12 @@ def _cmd_validate(args) -> int:
 
 
 def _show_config():
-    print("quadrature.rel_tol      =", _DEFAULT_SPEC.rel_tol)
-    print("quadrature.max_subdiv   =", _DEFAULT_SPEC.max_subdivisions)
-    print("default.seed            =", DEFAULT_SEED)
-    print("default.phi             = n (total sample size)")
+    print("quadrature.rule           =", _RULE_NAME)
+    print("quadrature.initial_panels =", _INITIAL_PANELS)
+    print("quadrature.rel_tol        =", _DEFAULT_SPEC.rel_tol)
+    print("quadrature.max_subdiv     =", _DEFAULT_SPEC.max_subdivisions)
+    print("default.seed              =", DEFAULT_SEED)
+    print("default.phi               =", RateFunction().kind.value)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,9 @@ where ``exp(log_f)`` would overflow or underflow in linear space.  The integrand
 is supplied as a numpy-vectorised function of log v.  The integrator keeps a
 running maximum of the log integrand, works on shifted values, and restores
 the shift at the end, so adding a constant to ``log_f`` shifts the result exactly.
+The engine bisects panels with the nested Gauss-Kronrod rule: one evaluation
+at a panel's 15 Kronrod nodes gives its mass and, through the embedded 7-point
+Gauss rule, its error.
 """
 
 from __future__ import annotations
@@ -52,64 +55,76 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-# Gauss-Legendre node/weight pairs on [-1, 1]; the 15-point rule is the panel
-# estimate, the 7-point rule supplies the error estimate by comparison.
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
+# The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk15): nonnegative nodes
+# from the right end, their Kronrod weights, and the weights of the 7-point
+# Gauss rule embedded at every second node.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# Mirrored about x = 0 into all 15 nodes in ascending order.
+_K15_NODES = np.concatenate([-np.array(_XGK), _XGK[-2::-1]])
+_K15_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+_G7_HALF = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3])
+_G7_WEIGHTS = np.concatenate([_G7_HALF, _G7_HALF[-2::-1]])
+# Columns: the K15 mass and the signed K15 - G7 difference, from one product.
+_RULE_COLUMNS = np.column_stack([_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS])
+# The rule and the number of equal panels refinement starts from, as
+# ``nbpk --show-config`` prints them.
+_RULE_NAME = "gauss-kronrod G7/K15"
+_INITIAL_PANELS = 16
 
 
 def _panel_log_values(log_g, a, b):
-    """log_g at the GL7 and GL15 nodes of panels [a_i, b_i]; shapes rows + (panels, 7 | 15)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    t7 = mid[:, None] + half[:, None] * _GL7[0][None, :]
-    t15 = mid[:, None] + half[:, None] * _GL15[0][None, :]
-    flat = np.concatenate([t7.ravel(), t15.ravel()])
-    vals = log_g(flat)
+    """log_g at the K15 nodes of panels [a_i, b_i]; shape rows + (panels, 15)."""
+    t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K15_NODES
+    vals = log_g(t.ravel())
     if np.isnan(vals).any():
         raise QuadratureError("log integrand returned NaN")
-    l7 = vals[..., : t7.size].reshape(vals.shape[:-1] + t7.shape)
-    l15 = vals[..., t7.size:].reshape(vals.shape[:-1] + t15.shape)
-    return l7, l15
+    return vals.reshape(vals.shape[:-1] + t.shape)
 
 
 class _Panels(NamedTuple):
     """Converged panels in refinement order; rows is () for a 1-d integrand, else (m,)."""
     a: np.ndarray       # left edges
     b: np.ndarray       # right edges
-    l15: np.ndarray     # log integrand at each panel's GL15 nodes, shape rows + (panels, 15)
+    l15: np.ndarray     # log integrand at each panel's K15 nodes, shape rows + (panels, 15)
     shift: np.ndarray   # log scale of each row's masses, shape rows; -inf for a row that is zero
-    mass: np.ndarray    # GL15 estimate of each panel's integral / e^shift, shape rows + (panels,)
+    mass: np.ndarray    # K15 estimate of each panel's integral / e^shift, shape rows + (panels,)
 
 
 def _log_integrate_unit(log_g, rel_tol, max_subdivisions) -> _Panels:
-    """Adaptive GL15/GL7 bisection of (0, 1) until every row's GL15 total converges.
+    """Adaptive Gauss-Kronrod bisection of (0, 1) until every row's K15 total converges.
 
     This is the package's one adaptive engine: the integrator sums the returned
     panel masses and the grid sampler builds its CDF from the same panels.  All
     rows share the panels; each row has its own shift and its own test
-    err_j <= rel_tol * total_j.
+    err_j <= rel_tol * total_j, with |K15 - G7| as each panel's error.
     """
-    edges = np.linspace(0.0, 1.0, 9)
+    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
     a, b = edges[:-1], edges[1:]
-    l7, l15 = _panel_log_values(log_g, a, b)
+    l15 = _panel_log_values(log_g, a, b)
     splits = 0
 
     while True:
-        m = np.maximum(l7.max(axis=(-2, -1), initial=-np.inf),
-                       l15.max(axis=(-2, -1), initial=-np.inf))
+        m = l15.max(axis=(-2, -1), initial=-np.inf)
         # A row that is -inf everywhere is identically zero: zero masses, shift -inf.
         dead = ~np.isfinite(m)
         live_m = np.where(dead, 0.0, m)[..., None, None]
-        half = 0.5 * (b - a)
-        s7 = half * (np.exp(l7 - live_m) @ _GL7[1])
-        s15 = half * (np.exp(l15 - live_m) @ _GL15[1])
-        err = np.abs(s15 - s7)
-        total = s15.sum(axis=-1)
+        sums = (0.5 * (b - a))[:, None] * (np.exp(l15 - live_m) @ _RULE_COLUMNS)
+        mass = sums[..., 0]
+        err = np.abs(sums[..., 1])
+        total = mass.sum(axis=-1)
         total_err = err.sum(axis=-1)
         done = dead | ((total > 0.0) & (total_err <= rel_tol * total))
         if done.all():
-            return _Panels(a, b, l15, m, s15)
+            return _Panels(a, b, l15, m, mass)
 
         # Split every panel whose error exceeds an unconverged row's fair share
         # of that row's budget; always split at least the worst one.
@@ -136,11 +151,10 @@ def _log_integrate_unit(log_g, rel_tol, max_subdivisions) -> _Panels:
         mid = 0.5 * (a[to_split] + b[to_split])
         new_a = np.concatenate([a[to_split], mid])
         new_b = np.concatenate([mid, b[to_split]])
-        nl7, nl15 = _panel_log_values(log_g, new_a, new_b)
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
-        l7 = np.concatenate([l7[..., keep, :], nl7], axis=-2)
-        l15 = np.concatenate([l15[..., keep, :], nl15], axis=-2)
+        l15 = np.concatenate([l15[..., keep, :], _panel_log_values(log_g, new_a, new_b)],
+                             axis=-2)
 
 
 def _log_expm1(w):
@@ -226,8 +240,8 @@ class LogDensityGridSampler:
     The log density is supplied as a function of log v.  The half line is
     mapped to (0, 1) by the compound coordinate of the log-v integrator, and
     the integrator's converged panels (at the default ``QuadratureSpec``
-    tolerances) carry the CDF: each panel holds its GL15 mass, spread over
-    piecewise-exponential cells through the panel edges and its 15 GL nodes.
+    tolerances) carry the CDF: each panel holds its K15 mass, spread over
+    piecewise-exponential cells through the panel edges and its 15 Kronrod nodes.
     Draws invert the exponential within the selected cell and are returned as
     log v.  A density the integrator cannot resolve raises ``QuadratureError``.
     """
@@ -239,14 +253,14 @@ class LogDensityGridSampler:
             raise ValueError("degenerate grid: log density is -inf everywhere")
         order = np.argsort(panels.a)
         a, b = panels.a[order], panels.b[order]
-        nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GL15[0]
+        nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K15_NODES
         ledge = log_g(np.append(a, 1.0))
         if np.isnan(ledge).any():
             raise QuadratureError("log integrand returned NaN")
         t = np.append(np.column_stack([a, nodes]).ravel(), 1.0)
         logg = np.append(np.column_stack([ledge[:-1], panels.l15[order]]).ravel(), ledge[-1])
         logm, l0, l1 = _cell_log_masses(t, logg)
-        # Rescale each panel's 16 cells to the panel's GL15 mass.
+        # Rescale each panel's 16 cells to the panel's K15 mass.
         logm = logm.reshape(len(a), 16)
         top = logm.max(axis=1, keepdims=True)
         rel = np.exp(logm - np.where(np.isfinite(top), top, 0.0))

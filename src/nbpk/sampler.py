@@ -116,13 +116,6 @@ def _chain_v_sampler(params: ModelParamsR,
     return LogDensityGridSampler(log_density)
 
 
-def _step_weights(params: ModelParamsR, config: Configuration, v: float) -> np.ndarray:
-    """Normalized probabilities (new block, block 1, ..., block k) at fixed v."""
-    logw = _log_step_weights_lv(params, config.counts, math.log(v))
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
-
-
 def urn_step(params: ModelParamsR, state: ChainState) -> ChainState:
     """Assign the next observation given the freshly sampled state.lv."""
     if state.config is None:

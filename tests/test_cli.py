@@ -6,7 +6,8 @@ import re
 import pytest
 
 from nbpk.cli import main
-from nbpk.numerics import QuadratureSpec
+from nbpk.coalescent import RateFunction
+from nbpk.numerics import _INITIAL_PANELS, _RULE_NAME, QuadratureSpec
 
 PD_ARGS = ["--model", "gengamma", "--alpha", "0.5", "--r", "2"]
 
@@ -112,11 +113,15 @@ def test_show_config(capsys):
     assert main(["--show-config"]) == 0
     lines = capsys.readouterr().out.splitlines()
     printed = {key.strip(): value.strip() for key, value in (l.split(" = ", 1) for l in lines)}
-    assert set(printed) == {"quadrature.rel_tol", "quadrature.max_subdiv",
+    assert set(printed) == {"quadrature.rule", "quadrature.initial_panels",
+                            "quadrature.rel_tol", "quadrature.max_subdiv",
                             "default.seed", "default.phi"}
+    assert printed["quadrature.rule"] == _RULE_NAME
+    assert int(printed["quadrature.initial_panels"]) == _INITIAL_PANELS
     spec = QuadratureSpec()
     assert float(printed["quadrature.rel_tol"]) == spec.rel_tol
     assert int(printed["quadrature.max_subdiv"]) == spec.max_subdivisions
+    assert printed["default.phi"] == RateFunction().kind.value
 
 
 @pytest.mark.parametrize("argv", [

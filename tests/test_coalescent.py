@@ -275,11 +275,13 @@ def test_h_solver_matches_scipy_expm(monkeypatch):
 
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.special is the only scipy module nbpk needs; scipy.linalg would add
-    # several MB of resident memory to every process that imports nbpk
+    # several MB of resident memory to every process that imports nbpk, and
+    # scipy.integrate (whose Gauss-Kronrod table numerics copies) would slow the import
     import nbpk
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(nbpk.__file__)))
-    code = "import sys, nbpk; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    code = ("import sys, nbpk; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.integrate'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from nbpk import numerics
 from nbpk.levy_models import LevyModel, ModelParamsR
 from nbpk.numerics import (
     LogDensityGridSampler,
@@ -16,7 +17,40 @@ from nbpk.numerics import (
     log_integrate_halfline_logv,
 )
 from nbpk.partitions import Configuration
+from nbpk.posterior import log_eppf
 from nbpk.sampler import _v_sampler, sample_v
+
+
+def test_kronrod_weights_integrate_polynomials_to_degree_22():
+    # K15 is exact for degree 3*7 + 1 = 22: int_{-1}^{1} x^j dx = 2/(j+1) for even j, else 0.
+    for j in range(23):
+        want = 0.0 if j % 2 else 2.0 / (j + 1)
+        got = numerics._K15_WEIGHTS @ numerics._K15_NODES ** j
+        assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_embedded_gauss_rule_is_legendre_7():
+    x, w = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(numerics._K15_NODES[1::2], x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(numerics._G7_WEIGHTS[1::2], w, rtol=0, atol=1e-15)
+    # The Kronrod-only nodes carry no G7 weight.
+    assert not numerics._G7_WEIGHTS[::2].any()
+
+
+def test_smooth_eppf_converges_on_the_initial_panels(monkeypatch):
+    # gengamma(0.5) r=2 at (2, 1) needs no split: one round of 16 panels x 15 nodes.
+    seen = []
+    quad = numerics.log_integrate_halfline_logv
+
+    def counting(log_f_lv, *args):
+        def log_f(lv):
+            seen.append(np.size(lv))
+            return log_f_lv(lv)
+        return quad(log_f, *args)
+
+    monkeypatch.setattr("nbpk.posterior.log_integrate_halfline_logv", counting)
+    log_eppf(ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0), Configuration((2, 1)))
+    assert seen == [16 * 15]
 
 
 def test_exponential_integral_is_one():
@@ -117,8 +151,8 @@ def test_vector_integrand_rows_converge_separately():
     assert got[4] == -np.inf
 
 
-@pytest.mark.xfail(strict=True, reason="the GL15-GL7 difference under-reports the error "
-                   "on the panel at the v^(a-1) singularity: 1.6e-9 achieved at a = 0.3")
+@pytest.mark.xfail(strict=True, reason="the K15-G7 difference under-reports the error "
+                   "on the panel at the v^(a-1) singularity: -1.1e-9 achieved at a = 0.3")
 def test_endpoint_singularity_meets_rel_tol():
     got = log_integrate_halfline_logv(lambda lv: -0.7 * lv - np.exp(lv))
     assert got == pytest.approx(math.lgamma(0.3), abs=1e-9)

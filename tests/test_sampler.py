@@ -12,7 +12,7 @@ from nbpk.posterior import log_eppf, log_v_moment
 from nbpk.sampler import (
     ChainState,
     _chain_v_sampler,
-    _step_weights,
+    _log_step_weights_lv,
     kn_posterior_mc,
     run_chain,
     sample_v,
@@ -39,10 +39,17 @@ def test_sample_v_moments_match_quadrature():
     assert abs((draws ** 2).mean() - second) < 3 * se2
 
 
+def _step_probs(params, config, v):
+    """Normalized (new block, block 1, ..., block k) weights at fixed v."""
+    logw = _log_step_weights_lv(params, config.counts, math.log(v))
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
+
+
 def test_step_weights_fixed_value():
     # generalized-gamma at v = 1: new-block weight 3 * pi_1/psi = 0.75,
     # join weight pi_2/pi_1 = 0.25, so p(new) = 0.75
-    probs = _step_weights(PD_HALF, Configuration((1,)), 1.0)
+    probs = _step_probs(PD_HALF, Configuration((1,)), 1.0)
     assert probs == pytest.approx([0.75, 0.25], abs=1e-12)
     assert probs.sum() == pytest.approx(1.0)
 
@@ -112,7 +119,7 @@ def test_chain_v_conditional_matches_enlarged_density():
     joined, opened = [], []
     for _ in range(20_000):
         v = math.exp(sampler.sample_lv(rng))
-        probs = _step_weights(params, cfg, v)
+        probs = _step_probs(params, cfg, v)
         if rng.random() < probs[0]:
             opened.append(v)
         else:
