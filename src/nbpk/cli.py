@@ -169,10 +169,9 @@ def _cmd_coalescent(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _default_models(args):
-    if args.model is not None:
-        r = args.r if args.r is not None else 2.0
-        return [ModelParamsR(_build_model(args), r)]
     r = args.r if args.r is not None else 2.0
+    if args.model is not None:
+        return [ModelParamsR(_build_model(args), r)]
     return [
         ModelParamsR(LevyModel.stable(0.5), r),
         ModelParamsR(LevyModel.gamma(1.0), r),
@@ -271,15 +270,21 @@ def _suite_predict(args, add):
 
 
 def _suite_coalescent(args, add):
+    # Each block's term (n_i/n) p(n) against the reduced configuration's route:
+    # (n_i/n) p(n - e_i) times its predictive probability of rebuilding n.
     for params in _default_models(args):
         worst = 0.0
         for config in _configs_up_to(min(args.n_max, 5)):
             if config.n < 2:
                 continue
-            _, total = backward_event_probabilities(params, config)
-            p = math.exp(log_eppf(params, config))
-            worst = max(worst, abs(total - p) / p)
-        add("coalescent", f"sum={params.model.describe()}", worst, worst < 1e-5)
+            terms, _ = backward_event_probabilities(params, config)
+            for i, ni in enumerate(config.counts):
+                reduced = config.remove_one(i)
+                w = predictive_weights(params, reduced)
+                j = i + 1 if ni > 1 else 0  # rebuilding n joins block i or opens one
+                want = ni / config.n * math.exp(w.log_eppf) * w.normalized(reduced)[j]
+                worst = max(worst, abs(terms[i] - want) / want)
+        add("coalescent", f"terms={params.model.describe()}", worst, worst < 1e-5)
     params = ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0)
     config = Configuration((3, 1))
     r0 = ratio_integrals(params, config, 0)

@@ -2,11 +2,10 @@
 
 A configuration shrinks by one observation per event: a within-block
 coalescence when the block has more than one member, or the removal of a
-singleton block.  The event probabilities come from the prediction weights on
-the reduced configurations, all integrated in log space in one stacked
-quadrature pass per configuration; the continuous-time version attaches a
-configuration-level total rate and splits it across blocks in proportion to
-their sizes.
+singleton block.  By the EPPF addition rule, block i's event term is
+(n_i/n) p(n), so the terms of a configuration need its EPPF only; the
+continuous-time version attaches a configuration-level total rate and splits
+it across blocks in proportion to their sizes.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .levy_models import ModelParamsR, log_pi_n_lv, log_psi_lv
-from .numerics import log_integrate_halfline_logv
+from .levy_models import ModelParamsR
 from .partitions import Configuration
-from .posterior import _assemble_log_g_r, _log_g_r_lv, log_eppf
+from .posterior import _log_eppfs, log_eppf
 
 __all__ = [
     "EventKind",
@@ -93,48 +91,18 @@ class RateFunction:
         return rate
 
 
-def _log_backward_terms(params: ModelParamsR, config: Configuration) -> np.ndarray:
-    """log of every block's backward event term, from one stacked quadrature pass.
-
-    Block i of size s > 1 contributes (s/n) (1/(n-1)) omega_i and a singleton
-    (1/n) omega_0, both prediction weights of the reduced configuration
-    n - e_i: omega_i = int v pi_s/pi_{s-1} g_r(v, n - e_i) dv and
-    omega_0 = (r+k-1)/(n-1) int v pi_1/psi g_r(v, n - e_i) dv.  Blocks of equal
-    size leave the same reduced multiset, so there is one row per distinct size.
-    """
-    model = params.model
-    n, k = config.n, config.k
-    sizes = sorted(set(config.counts))
-    reduced = [config.remove_one(config.counts.index(s)) for s in sizes]
-    needed = {1, *sizes, *(s - 1 for s in sizes if s > 1)}
-
-    def log_f(lv):
-        log_psi = log_psi_lv(model, lv)
-        log_pi = {m: log_pi_n_lv(model, m, lv) for m in needed}
-        rows = []
-        for s, red in zip(sizes, reduced):
-            tilt = log_pi[s] - log_pi[s - 1] if s > 1 else log_pi[1] - log_psi
-            rows.append(lv + tilt + _assemble_log_g_r(params, red, lv, log_psi, log_pi))
-        return np.array(rows)
-
-    logs = log_integrate_halfline_logv(log_f)
-    log_factor = [math.log(s / n / (n - 1)) if s > 1
-                  else math.log((params.r + k - 1) / (n - 1) / n) for s in sizes]
-    by_size = dict(zip(sizes, (logs + log_factor).tolist()))
-    return np.array([by_size[s] for s in config.counts])
-
-
 def backward_event_probabilities(params: ModelParamsR, config: Configuration):
     """Unnormalized backward event terms per block, and their total.
 
-    The total equals the EPPF value of the full configuration.  The terms are
-    computed as logs (``_log_backward_terms``) and returned as linear floats,
-    so they underflow where the EPPF does.
+    Block i's term is (n_i/n) p(n), whatever the block's size: the reduced
+    configuration n - e_i rebuilds n with predictive probability
+    p(n)/p(n - e_i), so one integral gives every term, and the total is p(n).
+    Both are returned as linear floats, so they underflow where the EPPF does.
     """
     if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
-    log_terms = _log_backward_terms(params, config)
-    return np.exp(log_terms), math.exp(np.logaddexp.reduce(log_terms))
+    p = math.exp(log_eppf(params, config))
+    return p * np.array(config.counts, float) / config.n, p
 
 
 def transition_rates(config: Configuration, phi: RateFunction) -> np.ndarray:
@@ -246,46 +214,17 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
                      for t in t_grid])
 
 
-def ratio_integrals(params: ModelParamsR, config: Configuration, i: int,
-                    route: str = "weights") -> float:
+def ratio_integrals(params: ModelParamsR, config: Configuration, i: int) -> float:
     """Normalized backward weight for block i: the event term over p(n - e_i).
 
-    route="weights" divides the backward term by the reduced EPPF; route
-    "direct" evaluates the equivalent explicit ratio of two half-line
-    integrals.  The two routes agree up to quadrature tolerance.
+    That is (n_i/n) p(n) / p(n - e_i), with both EPPFs from one shared-panel
+    pass; it equals the reduced configuration's predictive probability of
+    rebuilding n, times n_i/n.
     """
-    n, k = config.n, config.k
-    if n < 2:
+    if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
-    if route == "weights":
-        log_term = _log_backward_terms(params, config)[i]
-        return math.exp(log_term - log_eppf(params, config.remove_one(i)))
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
-
-    ni = config.counts[i]
-    reduced = config.remove_one(i)
-
-    def log_kernel(cfg, kk):
-        # v^{n'-1} psi^{-(r+kk)} prod_j pi_{n_j}; no gamma-function prefactors.
-        def log_f(lv):
-            lv = np.asarray(lv, float)
-            lg = _log_g_r_lv(params, cfg, lv)
-            # Strip g_r's own prefactors to recover the bare kernel, then
-            # adjust the psi exponent from r + cfg.k to r + kk.
-            lg = lg - (math.lgamma(params.r + cfg.k) - math.lgamma(params.r)) \
-                + math.lgamma(cfg.n)
-            return lg + (cfg.k - kk) * log_psi_lv(params.model, lv)
-
-        return log_integrate_halfline_logv(log_f)
-
-    if ni > 1:
-        num = log_kernel(config, k)
-        den = log_kernel(reduced, k)
-        return ni / (n * (n - 1)) * math.exp(num - den)
-    num = log_kernel(config, k)
-    den = log_kernel(reduced, k - 1)
-    return (params.r + k - 1) / (n * (n - 1)) * math.exp(num - den)
+    log_p, log_reduced = _log_eppfs(params, [config, config.remove_one(i)])
+    return config.counts[i] / config.n * math.exp(log_p - log_reduced)
 
 
 def history_to_json_lines(history: CoalescentHistory) -> str:

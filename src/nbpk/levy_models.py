@@ -50,8 +50,8 @@ class LevyModel:
             if self.alpha is None or not (0.0 < self.alpha < 1.0):
                 raise ValueError(f"alpha must lie strictly in (0,1), got {self.alpha}")
         elif self.kind is ModelKind.GAMMA:
-            if self.theta is None or not (self.theta > 0.0):
-                raise ValueError(f"theta must be positive, got {self.theta}")
+            if self.theta is None or not (0.0 < self.theta < math.inf):
+                raise ValueError(f"theta must be positive and finite, got {self.theta}")
 
     @staticmethod
     def stable(alpha: float) -> "LevyModel":
@@ -83,8 +83,8 @@ class ModelParamsR:
     r: float
 
     def __post_init__(self):
-        if not (self.r > 0.0):
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not (0.0 < self.r < math.inf):
+            raise ValueError(f"r must be positive and finite, got {self.r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Auxiliary-variable density, EPPF, predictive weights and identity checks.
 
-Everything is assembled in log space from log v: products of tilted moments
-over blocks are sums of ``log_pi_n_lv`` values, and all half-line integrals go
-through the shift-invariant quadrature in :mod:`nbpk.numerics`.
+Every integral here is an EPPF.  ``_log_g_r_rows`` assembles log g_r(v, c) for
+a stack of configurations c from log v alone, as one coefficient matrix times
+the shared kernels (log psi, log v, log pi_m), and the shift-invariant
+quadrature in :mod:`nbpk.numerics` integrates the stack on one panel set.  The
+prediction weights are EPPFs of the configurations enlarged by one
+observation, and the backward terms (n_i/n) p(n) need only p(n).
 """
 
 from __future__ import annotations
@@ -58,30 +61,49 @@ class PredictiveWeights:
         return np.exp(logs - log_total)
 
 
-def _assemble_log_g_r(params: ModelParamsR, config: Configuration, lv, log_psi, log_pi):
-    """log g_r(v, n) from log psi(v) and log pi_{n_i}(v) keyed by block size."""
-    r, n, k = params.r, config.n, config.k
-    out = math.lgamma(r + k) - math.lgamma(r) - (r + k) * log_psi + (n - 1) * lv - math.lgamma(n)
-    for ni in config.counts:
-        out = out + log_pi[ni]
-    return out
+def _log_g_r_rows(params: ModelParamsR, configs):
+    """log g_r(v, c) for every configuration c, stacked: lv of shape (N,) -> (len(configs), N).
+
+    This is the one place g_r is assembled.  Row c is
+    const_c - (r + k_c) log psi + (n_c - 1) lv + sum_m mult_c(m) log pi_m with
+    const_c = log Gamma(r + k_c) - log Gamma(r) - log Gamma(n_c), so all rows
+    are one product of a coefficient matrix, built here once, with the shared
+    features [log psi, lv, log pi_m for each block size m].  Working from
+    lv = log v keeps the Gamma-family tail (where v overflows a float but
+    log v does not) evaluable.
+    """
+    model, r = params.model, params.r
+    sizes = sorted({m for c in configs for m in c.counts})
+    column = {m: j for j, m in enumerate(sizes, start=2)}
+    const = np.empty((len(configs), 1))
+    coef = np.zeros((len(configs), len(sizes) + 2))
+    for row, c in enumerate(configs):
+        const[row] = math.lgamma(r + c.k) - math.lgamma(r) - math.lgamma(c.n)
+        coef[row, :2] = -(r + c.k), c.n - 1
+        for m in c.counts:
+            coef[row, column[m]] += 1.0
+
+    def log_g(lv):
+        features = [log_psi_lv(model, lv), lv] + [log_pi_n_lv(model, m, lv) for m in sizes]
+        return const + coef @ np.stack(features)
+
+    return log_g
 
 
 def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
-    """log g_r(v, n) as a function of lv = log v.
+    """log g_r(v, n) at lv = log v, scalar or array: the one-row view of ``_log_g_r_rows``."""
+    out = _log_g_r_rows(params, [config])(np.atleast_1d(np.asarray(lv, float)).ravel())[0]
+    return float(out[0]) if np.ndim(lv) == 0 else out.reshape(np.shape(lv))
 
-    Working from log v keeps the Gamma-family tail (where v overflows a float
-    but log v does not) evaluable; every integral below runs in this domain.
-    """
-    lv = np.asarray(lv, float)
-    log_pi = {ni: log_pi_n_lv(params.model, ni, lv) for ni in set(config.counts)}
-    out = _assemble_log_g_r(params, config, lv, log_psi_lv(params.model, lv), log_pi)
-    return float(out) if np.ndim(lv) == 0 else out
+
+def _log_eppfs(params: ModelParamsR, configs) -> np.ndarray:
+    """log p(c) for every configuration c, from one shared-panel quadrature pass."""
+    return log_integrate_halfline_logv(_log_g_r_rows(params, configs))
 
 
 def log_eppf(params: ModelParamsR, config: Configuration) -> float:
     """log p(n): the auxiliary density integrated over the half line."""
-    return log_integrate_halfline_logv(lambda lv: _log_g_r_lv(params, config, lv))
+    return float(_log_eppfs(params, [config])[0])
 
 
 def log_v_moment(params: ModelParamsR, config: Configuration, power: float) -> float:
@@ -93,29 +115,20 @@ def log_v_moment(params: ModelParamsR, config: Configuration, power: float) -> f
 def predictive_weights(params: ModelParamsR, config: Configuration) -> PredictiveWeights:
     """Raw prediction weights (omega_0, omega_1..omega_k) and the log EPPF.
 
-    All are moments of g_r(v, n) from one quadrature pass on shared panels:
-    g_r (the EPPF), omega_0 = (r+k)/n int v pi_1/psi g_r dv and, once per
-    distinct block size, omega_i = int v pi_{n_i+1}/pi_{n_i} g_r dv.  They are
-    checked by the prediction-sum identity (``check_prediction_sum``,
-    ``PredictiveWeights.normalized``).  The tilted form r/n int v pi_1 g_{r+1} dv
-    of omega_0 is no second check: g_{r+1} = g_r (r+k) / (r psi) pointwise.
+    The weights are EPPFs of enlarged configurations: omega_0 = p(n + new
+    block) and omega_i = n p(n + e_i), because pointwise in v
+    v (r+k) pi_1/psi g_r(v, n) = n g_r(v, n + new) and
+    v pi_{n_i+1}/pi_{n_i} g_r(v, n) = n g_r(v, n + e_i).  p(n), the new-block
+    EPPF and one enlarged EPPF per distinct block size come from one
+    shared-panel pass.  They are checked by the prediction-sum identity
+    (``check_prediction_sum``, ``PredictiveWeights.normalized``), the EPPF's
+    consistency under adding one observation.
     """
-    model = params.model
     sizes = sorted(set(config.counts))
-    needed = {1, *sizes, *(s + 1 for s in sizes)}
-
-    def log_f(lv):
-        log_psi = log_psi_lv(model, lv)
-        log_pi = {m: log_pi_n_lv(model, m, lv) for m in needed}
-        log_g = _assemble_log_g_r(params, config, lv, log_psi, log_pi)
-        rows = [log_g, lv + log_pi[1] - log_psi + log_g]
-        rows += [lv + log_pi[s + 1] - log_pi[s] + log_g for s in sizes]
-        return np.array(rows)
-
-    logs = log_integrate_halfline_logv(log_f)
-    log_omega = dict(zip(sizes, logs[2:].tolist()))
-    log_omega0 = math.log(params.r + config.k) - math.log(config.n) + float(logs[1])
-    return PredictiveWeights(log_omega0, tuple(log_omega[ni] for ni in config.counts),
+    enlarged = [config.add_one(config.counts.index(s)) for s in sizes]
+    logs = _log_eppfs(params, [config, config.append_block(), *enlarged])
+    log_omega = dict(zip(sizes, (math.log(config.n) + logs[2:]).tolist()))
+    return PredictiveWeights(float(logs[1]), tuple(log_omega[ni] for ni in config.counts),
                              float(logs[0]))
 
 
@@ -134,11 +147,10 @@ def check_partition_normalization(params: ModelParamsR, n: int) -> float:
     """|sum over all multiplicity classes of coefficient * EPPF - 1| at sample size n."""
     if n > 12:
         raise ValueError("full-normalization check is intended for small n (<= 12)")
-    total = 0.0
-    for m in enumerate_afs(n):
-        config = m.to_configuration()
-        total += math.exp(log_partition_coefficient(m) + log_eppf(params, config))
-    return abs(total - 1.0)
+    classes = enumerate_afs(n)
+    log_coef = np.array([log_partition_coefficient(m) for m in classes])
+    log_p = _log_eppfs(params, [m.to_configuration() for m in classes])
+    return abs(float(np.exp(log_coef + log_p).sum()) - 1.0)
 
 
 def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng) -> float:

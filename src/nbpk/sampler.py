@@ -19,7 +19,7 @@ import numpy as np
 from .levy_models import ModelParamsR, log_pi_n_lv, log_psi_lv
 from .numerics import LogDensityGridSampler
 from .partitions import AFSVector, Configuration, afs
-from .posterior import _log_g_r_lv
+from .posterior import _log_g_r_lv, _log_g_r_rows
 
 __all__ = [
     "ChainState",
@@ -98,22 +98,20 @@ def _chain_v_sampler(params: ModelParamsR,
     """Sampler for the V draw that precedes an assignment step.
 
     The density is proportional to v * A(v) * g_r(v, n), where A(v) is the sum
-    of the conditional prediction weights.  Drawing V this way and then
-    assigning with the normalized weights makes each step reproduce the exact
-    marginal predictive: the joint density of (V, join block i) is
+    of the conditional prediction weights.  Term by term that is
+    n * (g_r(v, n + new) + sum_i g_r(v, n + e_i)), so the log density is the
+    log-sum-exp of the enlarged configurations' rows.  Drawing V this way and
+    then assigning with the normalized weights makes each step reproduce the
+    exact marginal predictive: the joint density of (V, join block i) is
     proportional to g_r(v, n + e_i), so conditionally on the realized enlarged
     configuration V again follows its auxiliary density.  Drawing V from the
     plain g_r(v, n) instead gives a measurably wrong partition law whenever
     the conditional weights depend on v.
     """
     config = Configuration(sorted_counts)
-
-    def log_density(lv):
-        lv = np.asarray(lv, float)
-        la = np.logaddexp.reduce(_log_step_weights_lv(params, sorted_counts, lv), axis=0)
-        return lv + la + _log_g_r_lv(params, config, lv)
-
-    return LogDensityGridSampler(log_density)
+    enlarged = [config.append_block()] + [config.add_one(i) for i in range(config.k)]
+    log_g = _log_g_r_rows(params, enlarged)
+    return LogDensityGridSampler(lambda lv: np.logaddexp.reduce(log_g(lv), axis=0))
 
 
 def urn_step(params: ModelParamsR, state: ChainState) -> ChainState:

@@ -128,6 +128,8 @@ def test_show_config(capsys):
     ["eppf", *PD_ARGS, "--counts", "0,1"],
     ["gibbs", *PD_ARGS, "--n", "0"],
     ["coalescent", "--counts", "2", "--solve-h", "--t-grid", "0,nan"],
+    ["eppf", "--model", "gamma", "--theta", "inf", "--r", "2", "--counts", "2,1"],
+    ["eppf", "--model", "gengamma", "--alpha", "0.5", "--r", "inf", "--counts", "2,1"],
 ])
 def test_rejected_input_exits_2_without_traceback(argv, capsys):
     assert main(argv) == 2

@@ -11,7 +11,6 @@ import pytest
 
 from nbpk import reference
 from nbpk.coalescent import (
-    _log_backward_terms,
     EventKind,
     RateFunction,
     RateKind,
@@ -25,7 +24,7 @@ from nbpk.coalescent import (
 )
 from nbpk.levy_models import LevyModel, ModelParamsR
 from nbpk.partitions import Configuration, enumerate_afs
-from nbpk.posterior import log_eppf, predictive_weights
+from nbpk.posterior import log_eppf, normalized_predictive, predictive_weights
 
 PD_HALF = ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0)  # theta = 1
 
@@ -48,7 +47,6 @@ def test_backward_terms_sum_to_eppf():
 
 
 def test_backward_terms_one_quadrature_pass(monkeypatch):
-    import nbpk.coalescent as coalescent
     import nbpk.posterior as posterior
     integrals, predictive = [], []
 
@@ -58,9 +56,8 @@ def test_backward_terms_one_quadrature_pass(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    for module in (coalescent, posterior):
-        monkeypatch.setattr(module, "log_integrate_halfline_logv",
-                            counting(integrals, module.log_integrate_halfline_logv))
+    monkeypatch.setattr(posterior, "log_integrate_halfline_logv",
+                        counting(integrals, posterior.log_integrate_halfline_logv))
     monkeypatch.setattr(posterior, "predictive_weights",
                         counting(predictive, posterior.predictive_weights))
     for params in FOUR_MODELS:
@@ -100,19 +97,24 @@ def test_backward_terms_match_reduced_configuration_route():
 
 
 def test_backward_log_total_is_log_eppf_at_large_n():
-    # The EPPF is below 1e-300 here, so only the log terms can be checked.
+    # The EPPF is below 1e-300 here, so the terms (n_i/n) p(n) are checked as
+    # logs against the reduced configuration's prediction weights.
     for params in FOUR_MODELS:
         for counts in [(5,) * 60 + (100,), (200, 100, 50) + (1,) * 150]:
             cfg = Configuration(counts)
-            log_total = np.logaddexp.reduce(_log_backward_terms(params, cfg))
-            assert abs(log_total - log_eppf(params, cfg)) < 1e-9, (params, cfg.n)
+            n, lp = cfg.n, log_eppf(params, cfg)
+            for ni in set(counts):
+                i = counts.index(ni)
+                w = predictive_weights(params, cfg.remove_one(i))
+                want = (math.log(ni / n / (n - 1)) + w.log_omega[i] if ni > 1
+                        else w.log_omega0 - math.log(n))
+                assert abs(lp + math.log(ni / n) - want) < 1e-9, (params, n, ni)
 
 
 def test_ratio_integrals_pd_fixed_values():
     cfg = Configuration((3, 1))
-    for route in ("weights", "direct"):
-        assert ratio_integrals(PD_HALF, cfg, 0, route) == pytest.approx(0.28125, abs=1e-6)
-        assert ratio_integrals(PD_HALF, cfg, 1, route) == pytest.approx(0.09375, abs=1e-6)
+    assert ratio_integrals(PD_HALF, cfg, 0) == pytest.approx(0.28125, abs=1e-6)
+    assert ratio_integrals(PD_HALF, cfg, 1) == pytest.approx(0.09375, abs=1e-6)
 
 
 def test_ratio_integrals_pd_grid():
@@ -125,6 +127,8 @@ def test_ratio_integrals_pd_grid():
 
 
 def test_ratio_integral_routes_agree():
+    # (n_i/n) p(n)/p(n - e_i) is n_i/n times the reduced configuration's
+    # predictive probability of rebuilding n: joining block i, or a new block.
     cases = [
         (ModelParamsR(LevyModel.stable(0.4), 2.0), (2, 2)),
         (ModelParamsR(LevyModel.gamma(1.5), 1.0), (3, 1)),
@@ -132,12 +136,10 @@ def test_ratio_integral_routes_agree():
     ]
     for params, counts in cases:
         cfg = Configuration(counts)
-        for i in range(cfg.k):
-            a = ratio_integrals(params, cfg, i, "weights")
-            b = ratio_integrals(params, cfg, i, "direct")
-            assert abs(a - b) < 1e-8, (params, counts, i)
-    with pytest.raises(ValueError):
-        ratio_integrals(PD_HALF, Configuration((2,)), 0, "bogus")
+        for i, ni in enumerate(counts):
+            j = i + 1 if ni > 1 else 0
+            want = ni / cfg.n * normalized_predictive(params, cfg.remove_one(i))[j]
+            assert abs(ratio_integrals(params, cfg, i) - want) < 1e-8, (params, counts, i)
 
 
 def test_transition_rates():

@@ -104,6 +104,20 @@ def test_predictive_single_block_sums_to_eppf():
         assert math.exp(w.log_omega0) + math.exp(w.log_omega[0]) == pytest.approx(1.0, abs=1e-7)
 
 
+def test_prediction_weights_are_enlarged_eppfs():
+    # omega_0 = p(n + new block) and omega_i = n p(n + e_i), each EPPF from its
+    # own one-row integral.
+    configs = [m.to_configuration() for n in range(1, 6) for m in enumerate_afs(n)]
+    configs.append(Configuration((5, 3, 2, 1, 1)))
+    for params in FOUR_MODELS:
+        for cfg in configs:
+            w = predictive_weights(params, cfg)
+            assert abs(w.log_omega0 - log_eppf(params, cfg.append_block())) < 1e-9
+            for i in range(cfg.k):
+                want = math.log(cfg.n) + log_eppf(params, cfg.add_one(i))
+                assert abs(w.log_omega[i] - want) < 1e-9, (params, cfg, i)
+
+
 def test_omega0_routes_agree():
     # omega_0 = r/n int v pi_1 g_{r+1} dv as well, since g_{r+1} = g_r (r+k) / (r psi).
     for params in FOUR_MODELS:
