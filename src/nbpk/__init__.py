@@ -15,7 +15,6 @@ from .levy_models import (
 )
 from .numerics import (
     QuadratureError,
-    QuadratureSpec,
     log_integrate_halfline_logv,
 )
 from .partitions import AFSVector, Configuration, afs, enumerate_afs, log_partition_coefficient

@@ -27,16 +27,17 @@ from .coalescent import (
     simulate_backward,
 )
 from .levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
-from .numerics import _DEFAULT_SPEC, _INITIAL_PANELS, _RULE_NAME, QuadratureError
-from .partitions import Configuration, enumerate_afs
+from .numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _REL_TOL, _RULE_NAME, QuadratureError
+from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 from .posterior import (
     check_partition_normalization,
     check_prediction_sum,
     log_eppf,
+    log_v_moment,
     normalized_predictive,
     predictive_weights,
 )
-from .sampler import run_chain
+from .sampler import run_chain, sample_v
 
 DEFAULT_SEED = 1729
 
@@ -54,7 +55,7 @@ def _add_model_args(p):
 
 def _build_model(args) -> LevyModel:
     if args.model is None:
-        raise SystemExit("error: --model is required")
+        raise ValueError("--model is required")
     if args.model == "stable":
         return LevyModel.stable(_require(args.alpha, "--alpha"))
     if args.model == "gamma":
@@ -66,7 +67,7 @@ def _build_model(args) -> LevyModel:
 
 def _require(value, flag):
     if value is None:
-        raise SystemExit(f"error: {flag} is required for this model")
+        raise ValueError(f"{flag} is required for this model")
     return value
 
 
@@ -80,7 +81,7 @@ def _configs_from_args(args) -> List[Configuration]:
             return [Configuration.parse(line.strip())
                     for line in fh if line.strip()]
     if args.counts is None:
-        raise SystemExit("error: provide --counts or --counts-file")
+        raise ValueError("provide --counts or --counts-file")
     return [Configuration.parse(args.counts)]
 
 
@@ -302,8 +303,6 @@ def _suite_hsolver(args, add):
 
 
 def _suite_vmoments(args, add):
-    from .posterior import log_v_moment
-    from .sampler import sample_v
     rng = np.random.default_rng(args.seed)
     # The auxiliary-variable moment E[V^m] is finite only when the psi tail
     # grows fast enough (alpha * r > m for the power-tail models; never for
@@ -327,7 +326,6 @@ def _suite_vmoments(args, add):
 
 def _suite_gibbs(args, add):
     from scipy.stats import chisquare
-    from .partitions import log_partition_coefficient
     n = min(args.n_max, 4)
     for params in _default_models(args):
         classes = enumerate_afs(n)
@@ -380,8 +378,8 @@ def _cmd_validate(args) -> int:
 def _show_config():
     print("quadrature.rule           =", _RULE_NAME)
     print("quadrature.initial_panels =", _INITIAL_PANELS)
-    print("quadrature.rel_tol        =", _DEFAULT_SPEC.rel_tol)
-    print("quadrature.max_subdiv     =", _DEFAULT_SPEC.max_subdivisions)
+    print("quadrature.rel_tol        =", _REL_TOL)
+    print("quadrature.max_subdiv     =", _MAX_SUBDIVISIONS)
     print("default.seed              =", DEFAULT_SEED)
     print("default.phi               =", RateFunction().kind.value)
 

@@ -13,34 +13,21 @@ Gauss rule, its error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "log_integrate_halfline_logv",
     "LogDensityGridSampler",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 20000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-2):
-            raise ValueError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
 # The tolerances every integral and every V sampler reads, and that
 # ``nbpk --show-config`` prints.
-_DEFAULT_SPEC = QuadratureSpec()
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 20000
 
 
 class QuadratureError(RuntimeError):
@@ -99,13 +86,13 @@ class _Panels(NamedTuple):
     mass: np.ndarray    # K15 estimate of each panel's integral / e^shift, shape rows + (panels,)
 
 
-def _log_integrate_unit(log_g, rel_tol, max_subdivisions) -> _Panels:
+def _log_integrate_unit(log_g) -> _Panels:
     """Adaptive Gauss-Kronrod bisection of (0, 1) until every row's K15 total converges.
 
     This is the package's one adaptive engine: the integrator sums the returned
     panel masses and the grid sampler builds its CDF from the same panels.  All
     rows share the panels; each row has its own shift and its own test
-    err_j <= rel_tol * total_j, with |K15 - G7| as each panel's error.
+    err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.
     """
     edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
     a, b = edges[:-1], edges[1:]
@@ -122,25 +109,25 @@ def _log_integrate_unit(log_g, rel_tol, max_subdivisions) -> _Panels:
         err = np.abs(sums[..., 1])
         total = mass.sum(axis=-1)
         total_err = err.sum(axis=-1)
-        done = dead | ((total > 0.0) & (total_err <= rel_tol * total))
+        done = dead | ((total > 0.0) & (total_err <= _REL_TOL * total))
         if done.all():
             return _Panels(a, b, l15, m, mass)
 
         # Split every panel whose error exceeds an unconverged row's fair share
         # of that row's budget; always split at least the worst one.
-        thresh = np.where(total > 0.0, rel_tol * total / len(a), np.inf)
+        thresh = np.where(total > 0.0, _REL_TOL * total / len(a), np.inf)
         open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))
         to_split = np.flatnonzero((open_err > thresh.reshape(-1, 1)).any(axis=0))
         if to_split.size == 0:
             to_split = np.array([int(np.argmax(open_err.max(axis=0)))])
-        if splits + to_split.size > max_subdivisions:
+        if splits + to_split.size > _MAX_SUBDIVISIONS:
             # Report the unconverged row with the largest relative error.
             with np.errstate(divide="ignore", invalid="ignore"):
                 rel = np.where(total > 0.0, total_err / total, np.inf)
             j = np.unravel_index(np.argmax(np.where(done, -np.inf, rel)), rel.shape)
             raise QuadratureError(
                 "adaptive quadrature did not converge within "
-                f"{max_subdivisions} subdivisions",
+                f"{_MAX_SUBDIVISIONS} subdivisions",
                 best_estimate=m[j] + math.log(total[j]) if total[j] > 0 else -np.inf,
                 error_bound=float(rel[j]),
             )
@@ -191,7 +178,7 @@ def _compound_log_g(log_f_lv):
     return log_g
 
 
-def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec = _DEFAULT_SPEC):
+def log_integrate_halfline_logv(log_f_lv: Callable):
     """log int_0^infty exp(log_f(v)) dv with the integrand given as a function of log v.
 
     Uses the compound map v = exp(w) - 1, w = t/(1-t).  Integrands whose tail
@@ -202,7 +189,7 @@ def log_integrate_halfline_logv(log_f_lv: Callable, spec: QuadratureSpec = _DEFA
     A 1-d integrand gives a float; one returning (m, N) gives m logs from one
     shared panel set, each to its own relative tolerance.
     """
-    panels = _log_integrate_unit(_compound_log_g(log_f_lv), spec.rel_tol, spec.max_subdivisions)
+    panels = _log_integrate_unit(_compound_log_g(log_f_lv))
     with np.errstate(divide="ignore"):
         logs = panels.shift + np.log(panels.mass.sum(axis=-1))
     return float(logs) if logs.ndim == 0 else logs
@@ -239,8 +226,8 @@ class LogDensityGridSampler:
 
     The log density is supplied as a function of log v.  The half line is
     mapped to (0, 1) by the compound coordinate of the log-v integrator, and
-    the integrator's converged panels (at the default ``QuadratureSpec``
-    tolerances) carry the CDF: each panel holds its K15 mass, spread over
+    the integrator's converged panels (at ``_REL_TOL`` and ``_MAX_SUBDIVISIONS``)
+    carry the CDF: each panel holds its K15 mass, spread over
     piecewise-exponential cells through the panel edges and its 15 Kronrod nodes.
     Draws invert the exponential within the selected cell and are returned as
     log v.  A density the integrator cannot resolve raises ``QuadratureError``.
@@ -248,7 +235,7 @@ class LogDensityGridSampler:
 
     def __init__(self, log_density_lv):
         log_g = _compound_log_g(log_density_lv)
-        panels = _log_integrate_unit(log_g, _DEFAULT_SPEC.rel_tol, _DEFAULT_SPEC.max_subdivisions)
+        panels = _log_integrate_unit(log_g)
         if panels.shift == -np.inf:
             raise ValueError("degenerate grid: log density is -inf everywhere")
         order = np.argsort(panels.a)

@@ -1,9 +1,10 @@
 """The sequential urn scheme: auxiliary-variable draws alternating with cluster picks.
 
-A chain grows one observation at a time.  Before each new observation the
-auxiliary variable V is redrawn from its conditional density given the current
-configuration, then the observation joins an existing block or opens a new one
-with weights evaluated at that fixed V.
+A chain grows one observation at a time.  The auxiliary variable V and the
+next observation's block have one joint law: (V, join a block of size s) has
+density proportional to g_r(v, n + e_s), and (V, open a new block) to
+g_r(v, n + new).  Each step draws V from the marginal of that law, then the
+block from its conditional given V.
 """
 
 from __future__ import annotations
@@ -12,33 +13,22 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .levy_models import ModelParamsR, log_pi_n_lv, log_psi_lv
+from .levy_models import ModelParamsR
 from .numerics import LogDensityGridSampler
 from .partitions import AFSVector, Configuration, afs
 from .posterior import _log_g_r_lv, _log_g_r_rows
 
 __all__ = [
-    "ChainState",
     "GibbsSampleRecord",
     "sample_v",
     "urn_step",
     "run_chain",
     "kn_posterior_mc",
 ]
-
-
-@dataclass
-class ChainState:
-    config: Optional[Configuration]
-    # The auxiliary variable as log v: with the gamma intensity the chain
-    # visits v beyond float range while log v stays representable.
-    lv: float
-    step: int
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -82,54 +72,57 @@ def sample_v(params: ModelParamsR, config: Configuration, rng) -> float:
     return _capped_exp(_v_sampler(params, config.sorted_counts()).sample_lv(rng))
 
 
-def _log_step_weights_lv(params: ModelParamsR, counts: Tuple[int, ...], lv):
-    """Log conditional prediction weights at log v; shape (k+1,) + lv shape."""
-    model = params.model
-    rows = [math.log(params.r + len(counts))
-            + log_pi_n_lv(model, 1, lv) - log_psi_lv(model, lv)]
-    for ni in counts:
-        rows.append(log_pi_n_lv(model, ni + 1, lv) - log_pi_n_lv(model, ni, lv))
-    return np.array(rows)
+class _Urn(NamedTuple):
+    """What one configuration class gives the urn: its enlarged rows and the V sampler."""
+    # lv of shape (N,) -> log g_r at n + new block (row 0) and at n + e_s, shape (rows, N)
+    log_g: Callable
+    row: Dict[int, int]  # block size s -> the row of n + e_s
+    sampler: LogDensityGridSampler
 
 
 @lru_cache(maxsize=4096)
-def _chain_v_sampler(params: ModelParamsR,
-                     sorted_counts: Tuple[int, ...]) -> LogDensityGridSampler:
-    """Sampler for the V draw that precedes an assignment step.
+def _urn(params: ModelParamsR, sorted_counts: Tuple[int, ...]) -> _Urn:
+    """The urn's rows and V sampler for the class of the sorted counts; () before the first draw.
 
-    The density is proportional to v * A(v) * g_r(v, n), where A(v) is the sum
-    of the conditional prediction weights.  Term by term that is
-    n * (g_r(v, n + new) + sum_i g_r(v, n + e_i)), so the log density is the
-    log-sum-exp of the enlarged configurations' rows.  Drawing V this way and
-    then assigning with the normalized weights makes each step reproduce the
-    exact marginal predictive: the joint density of (V, join block i) is
-    proportional to g_r(v, n + e_i), so conditionally on the realized enlarged
+    Jointly with V, joining a block of size s has density proportional to
+    g_r(v, n + e_s) and opening a new block to g_r(v, n + new).  So V's
+    marginal density is the sum of the rows, each size s weighted by its m_s
+    blocks, and the choice given V is read from the same rows at that V.  Each
+    step then reproduces the exact marginal predictive, and given the enlarged
     configuration V again follows its auxiliary density.  Drawing V from the
     plain g_r(v, n) instead gives a measurably wrong partition law whenever
-    the conditional weights depend on v.
+    the choice depends on v.  The empty class has the one row g_r(v, (1,)).
     """
-    config = Configuration(sorted_counts)
-    enlarged = [config.append_block()] + [config.add_one(i) for i in range(config.k)]
+    sizes = sorted(set(sorted_counts))
+    enlarged = [Configuration(sorted_counts + (1,))]
+    for s in sizes:
+        i = sorted_counts.index(s)
+        enlarged.append(Configuration(sorted_counts[:i] + (s + 1,) + sorted_counts[i + 1:]))
     log_g = _log_g_r_rows(params, enlarged)
-    return LogDensityGridSampler(lambda lv: np.logaddexp.reduce(log_g(lv), axis=0))
+    log_mult = np.log([1] + [sorted_counts.count(s) for s in sizes])[:, None]
+    sampler = LogDensityGridSampler(
+        lambda lv: np.logaddexp.reduce(log_g(lv) + log_mult, axis=0))
+    return _Urn(log_g, {s: j for j, s in enumerate(sizes, start=1)}, sampler)
 
 
-def urn_step(params: ModelParamsR, state: ChainState) -> ChainState:
-    """Assign the next observation given the freshly sampled state.lv."""
-    if state.config is None:
-        # First observation always opens a block.
-        return ChainState(Configuration((1,)), state.lv, state.step + 1, state.rng)
-    logw = _log_step_weights_lv(params, state.config.counts, state.lv)
+def urn_step(params: ModelParamsR, config: Optional[Configuration], lv: float,
+             rng) -> Configuration:
+    """Add one observation to config at the freshly drawn log v = lv.
+
+    It opens a block or joins block i with probability proportional to
+    g_r(v, n + new) or g_r(v, n + e_i).  The first observation (config None)
+    always opens a block and draws no uniform.
+    """
+    if config is None:
+        return Configuration((1,))
+    urn = _urn(params, config.sorted_counts())
+    logs = urn.log_g(np.array([lv]))[:, 0]
+    logw = logs[[0] + [urn.row[ni] for ni in config.counts]]
     w = np.exp(logw - logw.max())
     probs = w / w.sum()
-    u = state.rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     idx = min(idx, len(probs) - 1)
-    if idx == 0:
-        config = state.config.append_block()
-    else:
-        config = state.config.add_one(idx - 1)
-    return ChainState(config, state.lv, state.step + 1, state.rng)
+    return config.append_block() if idx == 0 else config.add_one(idx - 1)
 
 
 def run_chain(params: ModelParamsR, n_target: int, seed: int,
@@ -139,21 +132,13 @@ def run_chain(params: ModelParamsR, n_target: int, seed: int,
         raise ValueError("n_target must be >= 1")
     rng = np.random.default_rng(seed)
     trace = [] if keep_v_trace else None
-    # The initial auxiliary draw uses the single-block density (n = k = 1).
-    lv0 = _v_sampler(params, (1,)).sample_lv(rng)
-    if trace is not None:
-        trace.append(_capped_exp(lv0))
-    state = urn_step(params, ChainState(None, lv0, 0, rng))
-    while state.step < n_target:
-        # Each subsequent V is drawn from the prediction-tilted density (see
-        # _chain_v_sampler); the assignment step then uses the conditional
-        # prediction rule at that V.
-        sampler = _chain_v_sampler(params, state.config.sorted_counts())
-        lv = sampler.sample_lv(rng)
+    config = None
+    for _ in range(n_target):
+        counts = () if config is None else config.sorted_counts()
+        lv = _urn(params, counts).sampler.sample_lv(rng)
         if trace is not None:
             trace.append(_capped_exp(lv))
-        state = urn_step(params, ChainState(state.config, lv, state.step, rng))
-    config = state.config
+        config = urn_step(params, config, lv, rng)
     return GibbsSampleRecord(
         final_config=config,
         k=config.k,

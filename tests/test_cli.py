@@ -7,7 +7,7 @@ import pytest
 
 from nbpk.cli import main
 from nbpk.coalescent import RateFunction
-from nbpk.numerics import _INITIAL_PANELS, _RULE_NAME, QuadratureSpec
+from nbpk.numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _REL_TOL, _RULE_NAME
 
 PD_ARGS = ["--model", "gengamma", "--alpha", "0.5", "--r", "2"]
 
@@ -118,9 +118,8 @@ def test_show_config(capsys):
                             "default.seed", "default.phi"}
     assert printed["quadrature.rule"] == _RULE_NAME
     assert int(printed["quadrature.initial_panels"]) == _INITIAL_PANELS
-    spec = QuadratureSpec()
-    assert float(printed["quadrature.rel_tol"]) == spec.rel_tol
-    assert int(printed["quadrature.max_subdiv"]) == spec.max_subdivisions
+    assert float(printed["quadrature.rel_tol"]) == _REL_TOL
+    assert int(printed["quadrature.max_subdiv"]) == _MAX_SUBDIVISIONS
     assert printed["default.phi"] == RateFunction().kind.value
 
 
@@ -130,6 +129,12 @@ def test_show_config(capsys):
     ["coalescent", "--counts", "2", "--solve-h", "--t-grid", "0,nan"],
     ["eppf", "--model", "gamma", "--theta", "inf", "--r", "2", "--counts", "2,1"],
     ["eppf", "--model", "gengamma", "--alpha", "0.5", "--r", "inf", "--counts", "2,1"],
+    # A missing flag is a usage error, not a numerical failure (exit 1).
+    ["eppf", "--r", "2", "--counts", "1"],
+    ["eppf", "--model", "gamma", "--r", "2", "--counts", "1"],
+    ["eppf", "--model", "stable", "--alpha", "0.5", "--counts", "1"],
+    ["eppf", *PD_ARGS],
+    ["coalescent", "--phi", "n"],
 ])
 def test_rejected_input_exits_2_without_traceback(argv, capsys):
     assert main(argv) == 2
@@ -155,7 +160,5 @@ def test_no_command_exits_2(capsys):
 
 
 def test_missing_model_flag():
-    with pytest.raises(SystemExit):
-        main(["eppf", "--counts", "2"])
-    with pytest.raises(SystemExit):
-        main(["eppf", "--model", "stable", "--r", "1", "--counts", "2"])
+    assert main(["eppf", "--counts", "2"]) == 2
+    assert main(["eppf", "--model", "stable", "--r", "1", "--counts", "2"]) == 2

@@ -13,7 +13,6 @@ from nbpk.levy_models import LevyModel, ModelParamsR
 from nbpk.numerics import (
     LogDensityGridSampler,
     QuadratureError,
-    QuadratureSpec,
     log_integrate_halfline_logv,
 )
 from nbpk.partitions import Configuration
@@ -114,11 +113,11 @@ def test_nan_integrand_raises():
         log_integrate_halfline_logv(lambda lv: np.where(lv > 0.0, np.nan, -np.exp(lv)))
 
 
-def test_nonconvergence_carries_best_estimate():
-    spec = QuadratureSpec(rel_tol=1e-9, max_subdivisions=2)
+def test_nonconvergence_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 2)
     # Endpoint-singular integrand that two subdivisions cannot resolve.
     with pytest.raises(QuadratureError) as exc:
-        log_integrate_halfline_logv(lambda lv: -0.999 * lv - np.exp(lv), spec)
+        log_integrate_halfline_logv(lambda lv: -0.999 * lv - np.exp(lv))
     assert exc.value.best_estimate is not None
     assert exc.value.error_bound is not None and exc.value.error_bound > 0.0
 
@@ -164,27 +163,20 @@ def test_vector_integrand_nan_in_one_row_raises():
             lambda lv: _stacked_gamma_rows(lv, [np.where(lv > 0.0, np.nan, -np.exp(lv))]))
 
 
-def test_vector_integrand_nonconvergent_row_carries_its_estimate():
+def test_vector_integrand_nonconvergent_row_carries_its_estimate(monkeypatch):
     # int v^-1 e^-v dv diverges at 0; shifted by +700 nats, its best estimate
     # is told apart from the convergent rows' (all below log 24).
-    spec = QuadratureSpec(max_subdivisions=200)
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 200)
     with pytest.raises(QuadratureError) as exc:
         log_integrate_halfline_logv(
-            lambda lv: _stacked_gamma_rows(lv, [-lv - np.exp(lv) + 700.0]), spec)
+            lambda lv: _stacked_gamma_rows(lv, [-lv - np.exp(lv) + 700.0]))
     assert 700.0 < exc.value.best_estimate < 710.0
-    assert exc.value.error_bound > spec.rel_tol
+    assert exc.value.error_bound > numerics._REL_TOL
 
 
 def test_three_dimensional_integrand_raises():
     with pytest.raises(ValueError):
         log_integrate_halfline_logv(lambda lv: np.zeros((2, 2, np.size(lv))))
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.5)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
 
 
 def _log_gamma_density_lv(shape):

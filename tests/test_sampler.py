@@ -6,18 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from nbpk.levy_models import LevyModel, ModelParamsR
+from nbpk import sampler
+from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
 from nbpk.partitions import Configuration, enumerate_afs, log_partition_coefficient
-from nbpk.posterior import log_eppf, log_v_moment
-from nbpk.sampler import (
-    ChainState,
-    _chain_v_sampler,
-    _log_step_weights_lv,
-    kn_posterior_mc,
-    run_chain,
-    sample_v,
-    urn_step,
-)
+from nbpk.posterior import _log_g_r_rows, log_eppf, log_v_moment
+from nbpk.sampler import _urn, kn_posterior_mc, run_chain, sample_v, urn_step
 
 # alpha * r = 7, so the first and second V moments are finite with a usable
 # standard error
@@ -39,31 +32,89 @@ def test_sample_v_moments_match_quadrature():
     assert abs((draws ** 2).mean() - second) < 3 * se2
 
 
-def _step_probs(params, config, v):
-    """Normalized (new block, block 1, ..., block k) weights at fixed v."""
-    logw = _log_step_weights_lv(params, config.counts, math.log(v))
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
+def _normalized(logw):
+    w = np.exp(logw - logw.max(axis=0))
+    return w / w.sum(axis=0)
+
+
+def _urn_probs(params, config, lv):
+    """The urn's (new block, block 1, ..., block k) probabilities at each lv, from its rows."""
+    urn = _urn(params, config.sorted_counts())
+    return _normalized(urn.log_g(np.atleast_1d(lv))[[0] + [urn.row[ni] for ni in config.counts]])
+
+
+def _kernel_probs(params, config, lv):
+    """The same probabilities from the kernels: (r + k) pi_1/psi and pi_{n_i+1}/pi_{n_i}."""
+    model = params.model
+    rows = [math.log(params.r + config.k)
+            + log_pi_n_lv(model, 1, lv) - log_psi_lv(model, lv)]
+    for ni in config.counts:
+        rows.append(log_pi_n_lv(model, ni + 1, lv) - log_pi_n_lv(model, ni, lv))
+    return _normalized(np.array(rows))
+
+
+URN_MODELS = [
+    ModelParamsR(LevyModel.stable(0.5), 1.5),
+    ModelParamsR(LevyModel.gamma(1.0), 2.0),
+    ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0),
+    ModelParamsR(LevyModel.truncated_stable(0.5), 1.5),
+    ModelParamsR(LevyModel.stable(0.2), 0.5),
+    ModelParamsR(LevyModel.gamma(2.5), 0.8),
+]
+URN_CONFIGS = [(1,), (2, 1), (3, 2, 1), (1, 1, 1, 1), (5, 3, 2, 1, 1),
+               (40, 20, 10, 5, 3, 1, 1), (60,) * 5 + (100,)]
+
+
+@pytest.mark.parametrize("lim, tol", [(30.0, 1e-12), (700.0, 1e-10)])
+def test_urn_choice_matches_kernel_formula(lim, tol):
+    lv = np.linspace(-lim, lim, 601)
+    for params in URN_MODELS:
+        for counts in URN_CONFIGS:
+            config = Configuration(counts)
+            got = _urn_probs(params, config, lv)
+            want = _kernel_probs(params, config, lv)
+            # Each row carries (n - 1) lv against the kernels' opposite terms,
+            # so rows of one class lose about 2 n |lv| eps to cancellation.
+            bound = tol + 2 * config.n * np.abs(lv) * np.finfo(float).eps
+            assert np.all(np.abs(got - want) <= bound), (params, counts)
 
 
 def test_step_weights_fixed_value():
     # generalized-gamma at v = 1: new-block weight 3 * pi_1/psi = 0.75,
     # join weight pi_2/pi_1 = 0.25, so p(new) = 0.75
-    probs = _step_probs(PD_HALF, Configuration((1,)), 1.0)
+    probs = _urn_probs(PD_HALF, Configuration((1,)), 0.0)[:, 0]
     assert probs == pytest.approx([0.75, 0.25], abs=1e-12)
     assert probs.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("counts", [(2, 2, 1), (1, 1, 1, 1)])
+def test_urn_v_density_sums_the_enlarged_rows_per_block(counts, monkeypatch):
+    # The V density weights each block size's row by its multiplicity; that is
+    # the log-sum-exp over n + new and n + e_i for every block i.
+    config = Configuration(counts)
+    lv = np.linspace(-30.0, 30.0, 601)
+    for params in URN_MODELS[:4]:
+        densities = []
+        monkeypatch.setattr(sampler, "LogDensityGridSampler", densities.append)
+        sampler._urn.__wrapped__(params, config.sorted_counts())
+        per_block = _log_g_r_rows(
+            params, [config.append_block()] + [config.add_one(i) for i in range(config.k)])
+        want = np.logaddexp.reduce(per_block(lv), axis=0)
+        assert np.abs(densities[0](lv) - want).max() <= 1e-12
+
+
 def test_urn_step_first_observation():
     rng = np.random.default_rng(0)
-    state = ChainState(None, 0.0, 0, rng)
-    nxt = urn_step(PD_HALF, state)
-    assert nxt.config.counts == (1,) and nxt.step == 1
+    before = rng.bit_generator.state
+    assert urn_step(PD_HALF, None, 0.0, rng).counts == (1,)
+    assert rng.bit_generator.state == before  # no uniform spent
 
 
 def test_run_chain_n1():
-    rec = run_chain(PD_HALF, 1, seed=9)
+    rec = run_chain(PD_HALF, 1, seed=9, keep_v_trace=True)
     assert rec.final_config.counts == (1,) and rec.k == 1
+    # The first V is a draw from g_r(v, (1,)).
+    assert rec.v_trace[0] == sample_v(PD_HALF, Configuration((1,)), np.random.default_rng(9))
     with pytest.raises(ValueError):
         run_chain(PD_HALF, 0, seed=9)
 
@@ -114,16 +165,13 @@ def test_chain_v_conditional_matches_enlarged_density():
     # step follows the auxiliary density of that enlarged configuration
     params = GG_HEAVY_R
     cfg = Configuration((1,))
-    sampler = _chain_v_sampler(params, cfg.sorted_counts())
+    v_sampler = _urn(params, cfg.sorted_counts()).sampler
     rng = np.random.default_rng(71)
     joined, opened = [], []
     for _ in range(20_000):
-        v = math.exp(sampler.sample_lv(rng))
-        probs = _step_probs(params, cfg, v)
-        if rng.random() < probs[0]:
-            opened.append(v)
-        else:
-            joined.append(v)
+        lv = v_sampler.sample_lv(rng)
+        step = urn_step(params, cfg, lv, rng)
+        (opened if step.k == 2 else joined).append(math.exp(lv))
     for draws, counts in ((np.array(joined), (2,)), (np.array(opened), (1, 1))):
         enlarged = Configuration(counts)
         want = math.exp(log_v_moment(params, enlarged, 1.0)
