@@ -27,9 +27,11 @@ from .coalescent import (
     simulate_backward,
 )
 from .levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
-from .numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _REL_TOL, _RULE_NAME, QuadratureError
+from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
+                       QuadratureError)
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 from .posterior import (
+    _mesh_kernel,
     check_partition_normalization,
     check_prediction_sum,
     log_eppf,
@@ -371,6 +373,8 @@ def _cmd_validate(args) -> int:
         start = time.perf_counter()
         _SUITE_FUNCS[name](args, add)
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    hits, misses, _, size = _mesh_kernel.cache_info()
+    print(f"mesh kernel cache: {hits} hits, {misses} misses, {size} columns", file=sys.stderr)
     _emit_table(rows, ["suite", "check", "value", "status"], args.csv)
     return 0 if all_ok else 1
 
@@ -378,6 +382,7 @@ def _cmd_validate(args) -> int:
 def _show_config():
     print("quadrature.rule           =", _RULE_NAME)
     print("quadrature.initial_panels =", _INITIAL_PANELS)
+    print("quadrature.initial_points =", _MESH_T.size)
     print("quadrature.rel_tol        =", _REL_TOL)
     print("quadrature.max_subdiv     =", _MAX_SUBDIVISIONS)
     print("default.seed              =", DEFAULT_SEED)

@@ -7,7 +7,8 @@ running maximum of the log integrand, works on shifted values, and restores
 the shift at the end, so adding a constant to ``log_f`` shifts the result exactly.
 The engine bisects panels with the nested Gauss-Kronrod rule: one evaluation
 at a panel's 15 Kronrod nodes gives its mass and, through the embedded 7-point
-Gauss rule, its error.
+Gauss rule, its error.  Every integral's first round is one fixed, precomputed
+mesh (``_MESH``), whose lv array an integrand may recognise and cache columns on.
 """
 
 from __future__ import annotations
@@ -66,15 +67,20 @@ _RULE_COLUMNS = np.column_stack([_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS])
 # ``nbpk --show-config`` prints them.
 _RULE_NAME = "gauss-kronrod G7/K15"
 _INITIAL_PANELS = 16
+_EDGES = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
 
 
-def _panel_log_values(log_g, a, b):
-    """log_g at the K15 nodes of panels [a_i, b_i]; shape rows + (panels, 15)."""
-    t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K15_NODES
-    vals = log_g(t.ravel())
+def _panel_nodes(a, b):
+    """The K15 nodes of panels [a_i, b_i], panel by panel in one flat array."""
+    return (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K15_NODES).ravel()
+
+
+def _panel_log_values(log_g, t):
+    """log_g at the flat panel nodes t; shape rows + (panels, 15)."""
+    vals = log_g(t)
     if np.isnan(vals).any():
         raise QuadratureError("log integrand returned NaN")
-    return vals.reshape(vals.shape[:-1] + t.shape)
+    return vals.reshape(vals.shape[:-1] + (-1, 15))
 
 
 class _Panels(NamedTuple):
@@ -94,9 +100,8 @@ def _log_integrate_unit(log_g) -> _Panels:
     rows share the panels; each row has its own shift and its own test
     err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.
     """
-    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
-    a, b = edges[:-1], edges[1:]
-    l15 = _panel_log_values(log_g, a, b)
+    a, b = _EDGES[:-1], _EDGES[1:]
+    l15 = _panel_log_values(log_g, _MESH_T)
     splits = 0
 
     while True:
@@ -140,8 +145,8 @@ def _log_integrate_unit(log_g) -> _Panels:
         new_b = np.concatenate([mid, b[to_split]])
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
-        l15 = np.concatenate([l15[..., keep, :], _panel_log_values(log_g, new_a, new_b)],
-                             axis=-2)
+        l15 = np.concatenate([l15[..., keep, :],
+                              _panel_log_values(log_g, _panel_nodes(new_a, new_b))], axis=-2)
 
 
 def _log_expm1(w):
@@ -154,6 +159,19 @@ def _log_expm1(w):
     return out
 
 
+def _compound_map(t):
+    """Nodes t in (0, 1) with w = t/(1-t), lv = log(e^w - 1) and log(1-t)."""
+    w = t / (1.0 - t)
+    return t, w, _log_expm1(w), np.log1p(-t)
+
+
+# The first round's nodes, all inside (0, 1), mapped once and read-only.
+_MESH = _compound_map(_panel_nodes(_EDGES[:-1], _EDGES[1:]))
+_MESH_T, _MESH_LV = _MESH[0], _MESH[2]
+for _a in _MESH:
+    _a.flags.writeable = False
+
+
 def _compound_log_g(log_f_lv):
     """Pull a log integrand of log v back to t in (0, 1) by v = exp(w) - 1, w = t/(1-t).
 
@@ -163,8 +181,7 @@ def _compound_log_g(log_f_lv):
     """
     def log_g(t):
         ok = (t > 0.0) & (t < 1.0)
-        w = t[ok] / (1.0 - t[ok])
-        lv = _log_expm1(w)
+        _, w, lv, log1m_t = _MESH if t is _MESH_T else _compound_map(t[ok])
         with np.errstate(all="ignore"):
             vals = log_f_lv(lv)
             if np.ndim(vals) not in (1, 2) or np.shape(vals)[-1] != lv.size:
@@ -172,7 +189,7 @@ def _compound_log_g(log_f_lv):
                                  f"for {lv.shape} points of log v")
             out = np.full(np.shape(vals)[:-1] + t.shape, -np.inf)
             # dv = e^w dw contributes the +w term.
-            out[..., ok] = vals + w - 2.0 * np.log1p(-t[ok])
+            out[..., ok] = vals + w - 2.0 * log1m_t
         return out
 
     return log_g
@@ -187,7 +204,8 @@ def log_integrate_halfline_logv(log_f_lv: Callable):
     coordinate that tail is algebraic and the panel refinement resolves it.
 
     A 1-d integrand gives a float; one returning (m, N) gives m logs from one
-    shared panel set, each to its own relative tolerance.
+    shared panel set, each to its own relative tolerance.  The lv array it gets
+    is read-only and may be shared between calls: it must not be modified.
     """
     panels = _log_integrate_unit(_compound_log_g(log_f_lv))
     with np.errstate(divide="ignore"):
@@ -231,6 +249,7 @@ class LogDensityGridSampler:
     piecewise-exponential cells through the panel edges and its 15 Kronrod nodes.
     Draws invert the exponential within the selected cell and are returned as
     log v.  A density the integrator cannot resolve raises ``QuadratureError``.
+    As for the integrator, the lv array it gets is read-only and may be shared.
     """
 
     def __init__(self, log_density_lv):
@@ -240,11 +259,10 @@ class LogDensityGridSampler:
             raise ValueError("degenerate grid: log density is -inf everywhere")
         order = np.argsort(panels.a)
         a, b = panels.a[order], panels.b[order]
-        nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K15_NODES
         ledge = log_g(np.append(a, 1.0))
         if np.isnan(ledge).any():
             raise QuadratureError("log integrand returned NaN")
-        t = np.append(np.column_stack([a, nodes]).ravel(), 1.0)
+        t = np.append(np.column_stack([a, _panel_nodes(a, b).reshape(-1, 15)]).ravel(), 1.0)
         logg = np.append(np.column_stack([ledge[:-1], panels.l15[order]]).ravel(), ledge[-1])
         logm, l0, l1 = _cell_log_masses(t, logg)
         # Rescale each panel's 16 cells to the panel's K15 mass.

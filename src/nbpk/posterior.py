@@ -5,20 +5,22 @@ a stack of configurations c from log v alone, as one coefficient matrix times
 the shared kernels (log psi, log v, log pi_m), and the shift-invariant
 quadrature in :mod:`nbpk.numerics` integrates the stack on one panel set.  The
 prediction weights are EPPFs of the configurations enlarged by one
-observation, and the backward terms (n_i/n) p(n) need only p(n).
+observation, and the backward terms (n_i/n) p(n) need only p(n).  The kernels
+on the quadrature's first-round mesh are computed once per (model, block size).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv
 
 from .levy_models import ModelKind, ModelParamsR, log_pi_n_lv, log_psi_lv
-from .numerics import log_integrate_halfline_logv
+from .numerics import _MESH_LV, log_integrate_halfline_logv
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 
 __all__ = [
@@ -84,16 +86,30 @@ def _log_g_r_rows(params: ModelParamsR, configs):
             coef[row, column[m]] += 1.0
 
     def log_g(lv):
-        features = [log_psi_lv(model, lv), lv] + [log_pi_n_lv(model, m, lv) for m in sizes]
+        if lv is _MESH_LV:
+            features = [_mesh_kernel(log_psi_lv, model), lv] + [
+                _mesh_kernel(log_pi_n_lv, model, m) for m in sizes]
+        else:
+            features = [log_psi_lv(model, lv), lv] + [log_pi_n_lv(model, m, lv) for m in sizes]
         return const + coef @ np.stack(features)
 
     return log_g
 
 
+@lru_cache(maxsize=1024)
+def _mesh_kernel(kernel, *args) -> np.ndarray:
+    """kernel(*args, lv) on the first-round mesh.  r is not in the key, as no kernel reads
+    it; the kernel is, so a patched kernel never reads another one's columns."""
+    column = kernel(*args, _MESH_LV)
+    column.flags.writeable = False  # every caller shares it
+    return column
+
+
 def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
     """log g_r(v, n) at lv = log v, scalar or array: the one-row view of ``_log_g_r_rows``."""
-    out = _log_g_r_rows(params, [config])(np.atleast_1d(np.asarray(lv, float)).ravel())[0]
-    return float(out[0]) if np.ndim(lv) == 0 else out.reshape(np.shape(lv))
+    lv = np.asarray(lv, float)  # a 1-d float array passes through, so the mesh is recognised
+    out = _log_g_r_rows(params, [config])(lv if lv.ndim == 1 else lv.ravel())[0]
+    return float(out[0]) if lv.ndim == 0 else out.reshape(lv.shape)
 
 
 def _log_eppfs(params: ModelParamsR, configs) -> np.ndarray:
@@ -159,8 +175,8 @@ def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng) -> float:
     The target density is s^{n_i} e^{-vs} rho(s) / pi_{n_i}(v), a gamma law,
     truncated to (0, 1] for the truncated stable model.
     """
-    if v <= 0.0:
-        raise ValueError("v must be positive")
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"v must be positive and finite, got {v}")
     if n_i < 1:
         raise ValueError("n_i must be >= 1")
     model = params.model

@@ -113,6 +113,8 @@ def urn_step(params: ModelParamsR, config: Optional[Configuration], lv: float,
     g_r(v, n + new) or g_r(v, n + e_i).  The first observation (config None)
     always opens a block and draws no uniform.
     """
+    if not math.isfinite(lv):
+        raise ValueError(f"log v must be finite, got {lv}")
     if config is None:
         return Configuration((1,))
     urn = _urn(params, config.sorted_counts())

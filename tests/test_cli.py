@@ -7,7 +7,7 @@ import pytest
 
 from nbpk.cli import main
 from nbpk.coalescent import RateFunction
-from nbpk.numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _REL_TOL, _RULE_NAME
+from nbpk.numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME
 
 PD_ARGS = ["--model", "gengamma", "--alpha", "0.5", "--r", "2"]
 
@@ -70,7 +70,8 @@ def test_validate_times_each_suite_on_stderr(capsys):
     for _ in range(2):
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n",
+        assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n"
+                            r"mesh kernel cache: \d+ hits, \d+ misses, \d+ columns\n",
                             captured.err)
         outs.append(captured.out)
     # The table alone goes to stdout, unchanged by the timings.
@@ -114,10 +115,11 @@ def test_show_config(capsys):
     lines = capsys.readouterr().out.splitlines()
     printed = {key.strip(): value.strip() for key, value in (l.split(" = ", 1) for l in lines)}
     assert set(printed) == {"quadrature.rule", "quadrature.initial_panels",
-                            "quadrature.rel_tol", "quadrature.max_subdiv",
-                            "default.seed", "default.phi"}
+                            "quadrature.initial_points", "quadrature.rel_tol",
+                            "quadrature.max_subdiv", "default.seed", "default.phi"}
     assert printed["quadrature.rule"] == _RULE_NAME
     assert int(printed["quadrature.initial_panels"]) == _INITIAL_PANELS
+    assert int(printed["quadrature.initial_points"]) == _MESH_T.size == 15 * _INITIAL_PANELS
     assert float(printed["quadrature.rel_tol"]) == _REL_TOL
     assert int(printed["quadrature.max_subdiv"]) == _MAX_SUBDIVISIONS
     assert printed["default.phi"] == RateFunction().kind.value

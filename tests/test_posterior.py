@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from nbpk import reference
+from nbpk import posterior, reference
 from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n_lv
-from nbpk.numerics import log_integrate_halfline_logv
+from nbpk.numerics import _MESH_LV, log_integrate_halfline_logv
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
     _log_g_r_lv,
+    _log_g_r_rows,
+    _mesh_kernel,
     check_prediction_sum,
     check_partition_normalization,
     log_eppf,
@@ -26,6 +28,7 @@ from nbpk.posterior import (
     predictive_weights,
     sample_jump_given_v,
 )
+from nbpk.sampler import sample_v
 
 PD_HALF = ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0)  # theta = 1
 
@@ -281,3 +284,66 @@ def test_jump_sampler_domain_errors():
         sample_jump_given_v(PD_HALF, 2, 0.0, rng)
     with pytest.raises(ValueError):
         sample_jump_given_v(PD_HALF, 0, 1.0, rng)
+    with pytest.raises(ValueError):
+        sample_jump_given_v(PD_HALF, 2, math.nan, rng)
+    with pytest.raises(ValueError):
+        sample_jump_given_v(PD_HALF, 2, math.inf, rng)
+
+
+# The four families, plus a small alpha, a small theta and alpha near one at other r.
+CACHE_MODELS = FOUR_MODELS + [
+    ModelParamsR(LevyModel.stable(0.2), 0.5),
+    ModelParamsR(LevyModel.gamma(0.3), 0.5),
+    ModelParamsR(LevyModel.truncated_stable(0.9), 3.0),
+]
+# Up to n = 60, with block sizes 1-12, 20 and 60.
+CACHE_CONFIGS = [Configuration(c) for c in [
+    (1,), (2, 1), (3, 3, 2, 1, 1), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (12, 11, 20, 5, 5, 4, 3),
+    (60,), (1,) * 60,
+]]
+
+
+@pytest.mark.parametrize("params", CACHE_MODELS, ids=lambda p: f"{p.model.describe()}-r{p.r}")
+def test_mesh_kernel_cache_changes_no_bit(params):
+    # The rows read cached columns on the mesh itself and compute them on a copy.
+    rows = _log_g_r_rows(params, CACHE_CONFIGS)
+    assert rows(_MESH_LV).tobytes() == rows(_MESH_LV.copy()).tobytes()
+    # And the quadrature gives the same bits from an empty and from a full cache;
+    # repr round-trips a float exactly.
+    _mesh_kernel.cache_clear()
+    cold, warm = ([(log_eppf(params, c), predictive_weights(params, c))
+                   for c in CACHE_CONFIGS[:5]] for _ in range(2))
+    assert repr(cold) == repr(warm)
+
+
+@pytest.mark.parametrize("model", [LevyModel.stable(0.45), LevyModel.gamma(1.3),
+                                   LevyModel.generalized_gamma(0.35),
+                                   LevyModel.truncated_stable(0.55)],
+                         ids=lambda m: m.describe())
+def test_mesh_kernels_are_evaluated_once_per_model_and_block_size(model, monkeypatch):
+    on_mesh = []
+
+    def counting(kernel, key):
+        # Compare values, not identity: a copy of the mesh must count too.
+        def wrapped(model, *args):
+            if np.shape(args[-1]) == _MESH_LV.shape and np.array_equal(args[-1], _MESH_LV):
+                on_mesh.append(key(*args))
+            return kernel(model, *args)
+        return wrapped
+
+    # New kernel functions are new cache keys, so the count starts from an empty cache.
+    monkeypatch.setattr(posterior, "log_psi_lv", counting(posterior.log_psi_lv, lambda lv: 0))
+    monkeypatch.setattr(posterior, "log_pi_n_lv",
+                        counting(posterior.log_pi_n_lv, lambda m, lv: m))
+    rng = np.random.default_rng(3)
+    configs = [m.to_configuration() for n in range(1, 7) for m in enumerate_afs(n)]
+    for r in (0.7, 2.0):  # the cache is shared across r
+        params = ModelParamsR(model, r)
+        for config in configs:
+            log_eppf(params, config)
+            predictive_weights(params, config)
+        # The V sampler and the moments reach the rows through _log_g_r_lv.
+        sample_v(params, Configuration((4, 2)), rng)
+        log_v_moment(params, Configuration((3, 3)), 1.0)
+    # psi (key 0) once; pi_m once for every size up to 7, the enlarged blocks'.
+    assert sorted(on_mesh) == list(range(8))

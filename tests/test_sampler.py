@@ -110,6 +110,13 @@ def test_urn_step_first_observation():
     assert rng.bit_generator.state == before  # no uniform spent
 
 
+@pytest.mark.parametrize("lv", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config", [None, Configuration((1,))])
+def test_urn_step_rejects_non_finite_lv(config, lv):
+    with pytest.raises(ValueError, match="finite"):
+        urn_step(ModelParamsR(LevyModel.gamma(1.0), 2.0), config, lv, np.random.default_rng(0))
+
+
 def test_run_chain_n1():
     rec = run_chain(PD_HALF, 1, seed=9, keep_v_trace=True)
     assert rec.final_config.counts == (1,) and rec.k == 1

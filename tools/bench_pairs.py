@@ -1,0 +1,122 @@
+"""Paired benchmark runs of a parent revision against this checkout.
+
+    python3 tools/bench_pairs.py --parent HEAD --seeds $(seq 31 40) --out BENCH_11.json
+
+The parent revision is unpacked with ``git archive`` into a temporary
+directory; the change is the working tree this script sits in.  For every
+workload that ``BENCHMARK.json`` declares and each seed (at least ten),
+``perfbench/run.py`` runs once on each side, one side right after the other,
+and the side that runs first alternates from pair to pair, so a machine whose
+speed drifts favours neither.  Both sides run with the same interpreter, seed
+and ``run_seconds`` of ``BENCHMARK.json``.  The output file holds every run's
+``attempted``, ``failed`` and metrics, and, for every end-to-end metric that
+``BENCHMARK.json`` declares, each side's median and quartiles, the relative
+change of the medians and the number of pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 10
+
+
+def unpack(revision: str, into: Path) -> str:
+    """Extract the revision's committed files into `into`; returns its commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
+                            cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return commit
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in `checkout`; its last stdout line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"],
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def spread(values):
+    """Median and quartiles."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs, declared):
+    """Per end-to-end metric: both sides' spreads, the median move and pairs won."""
+    out = {}
+    for metric in declared:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        losses = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
+        ps, cs = spread(parent), spread(change)
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "parent": ps, "change": cs,
+            "median_rel_change": cs["median"] / ps["median"] - 1.0 if ps["median"] else None,
+            "parent_iqr": ps["q3"] - ps["q1"],
+            "change_wins": wins, "change_losses": losses, "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True,
+                        help=f"one pair per seed; at least {MIN_PAIRS}")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if len(args.seeds) < MIN_PAIRS:
+        parser.error(f"a comparison needs at least {MIN_PAIRS} pairs, got {len(args.seeds)}")
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    report = {"parent": None, "change": "working tree", "seconds": seconds,
+              "seeds": args.seeds, "python": platform.python_version(),
+              "cpus": os.cpu_count(), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_dir = Path(tmp)
+        report["parent"] = unpack(args.parent, parent_dir)
+        sides = {"parent": parent_dir, "change": ROOT}
+        for workload in workloads:
+            pairs = []
+            for i, seed in enumerate(args.seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(sides[side], workload, seed, seconds)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
+                pairs.append(pair)
+            report["workloads"][workload] = {
+                "pairs": pairs, "metrics": summarize(pairs, bench["end_to_end"])}
+            # Written after each workload, so a cut run keeps what it measured.
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
