@@ -31,7 +31,7 @@ from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _R
                        QuadratureError)
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 from .posterior import (
-    _mesh_kernel,
+    _mesh_features,
     check_partition_normalization,
     check_prediction_sum,
     log_eppf,
@@ -373,8 +373,8 @@ def _cmd_validate(args) -> int:
         start = time.perf_counter()
         _SUITE_FUNCS[name](args, add)
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
-    hits, misses, _, size = _mesh_kernel.cache_info()
-    print(f"mesh kernel cache: {hits} hits, {misses} misses, {size} columns", file=sys.stderr)
+    hits, misses, _, size = _mesh_features.cache_info()
+    print(f"mesh feature cache: {hits} hits, {misses} misses, {size} matrices", file=sys.stderr)
     _emit_table(rows, ["suite", "check", "value", "status"], args.csv)
     return 0 if all_ok else 1
 

@@ -131,6 +131,12 @@ def simulate_backward(config: Configuration, phi: RateFunction, seed: int) -> Co
     return CoalescentHistory(start=config, events=tuple(events), seed=seed)
 
 
+def _decrements(state: Tuple[int, ...]):
+    """(n_i, the sorted state with one observation removed from block i) for every block i."""
+    for i, ni in enumerate(state):
+        yield ni, tuple(sorted(state[:i] + (ni - 1,) * (ni > 1) + state[i + 1:], reverse=True))
+
+
 def _reachable_states(start: Configuration) -> List[Tuple[int, ...]]:
     """All block-size multisets reachable by repeated single decrements."""
     seen = set()
@@ -140,33 +146,28 @@ def _reachable_states(start: Configuration) -> List[Tuple[int, ...]]:
         if state in seen:
             continue
         seen.add(state)
-        if sum(state) == 1:
-            continue
-        for i in range(len(state)):
-            nxt = list(state)
-            nxt[i] -= 1
-            if nxt[i] == 0:
-                del nxt[i]
-            nxt = tuple(sorted(nxt, reverse=True))
-            if nxt not in seen:
-                frontier.append(nxt)
+        if sum(state) > 1:
+            frontier.extend(nxt for _, nxt in _decrements(state) if nxt not in seen)
     return sorted(seen, key=lambda s: (sum(s), s))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring: a degree-18 Taylor polynomial at 1-norm <= 1/2.
+    """exp of each matrix in the stack a, shape (times, d, d), by scaling and squaring.
 
-    The truncation error there is below 0.5^19 / 19! ~ 2e-23 relative.
+    Each matrix is scaled to 1-norm <= 1/2, where a degree-18 Taylor polynomial
+    has truncation error below 0.5^19 / 19! ~ 2e-23 relative, and squared back.
     """
-    norm = np.abs(a).sum(axis=0).max()
-    squarings = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.0 else 0
-    a = a / 2.0 ** squarings
-    term = out = np.eye(len(a))
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    # A zero matrix needs no squaring; a non-finite one raises FloatingPointError.
+    with np.errstate(divide="ignore", invalid="raise"):
+        squarings = np.maximum(np.ceil(np.log2(2.0 * norm)), 0.0).astype(int)
+    a = a / (2.0 ** squarings)[:, None, None]
+    term = out = np.eye(a.shape[-1])
     for j in range(1, 19):
         term = term @ a / j
         out = out + term
-    for _ in range(squarings):
-        out = out @ out
+    for j in range(squarings.max(initial=0)):
+        out = np.where((squarings > j)[:, None, None], out @ out, out)
     return out
 
 
@@ -186,32 +187,24 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     if h0 is None:
         h0 = lambda c: 1.0 if c.sorted_counts() == (1,) else 0.0
     t_grid = np.asarray(t_grid, float)
-    if not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
-        raise ValueError("times must be finite and nonnegative")
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
+        raise ValueError("times must be a one-dimensional sequence, finite and nonnegative")
 
     states = _reachable_states(config)
     index = {s: i for i, s in enumerate(states)}
-    dim = len(states)
-    gen = np.zeros((dim, dim))
-    for s, row in index.items():
-        if sum(s) == 1:
+    configs = [Configuration(s) for s in states]
+    gen = np.zeros((len(states), len(states)))
+    for row, (s, c) in enumerate(zip(states, configs)):
+        if c.n == 1:
             continue
-        c = Configuration(s)
         total = phi(c)
         gen[row, row] = -total
-        for i, ni in enumerate(s):
-            nxt = list(s)
-            nxt[i] -= 1
-            if nxt[i] == 0:
-                del nxt[i]
-            col = index[tuple(sorted(nxt, reverse=True))]
-            gen[row, col] += total * ni / sum(s)
+        for ni, nxt in _decrements(s):
+            gen[row, index[nxt]] += total * ni / c.n
 
-    y0 = np.array([h0(Configuration(s)) for s in states], float)
-    start_row = index[config.sorted_counts()]
-    # H(t) = exp(t G) h0 for the generator G; exp(0) is the identity.
-    return np.array([_expm(t * gen)[start_row] @ y0 if t > 0.0 else y0[start_row]
-                     for t in t_grid])
+    y0 = np.array([h0(c) for c in configs], float)
+    # H(t) = exp(t G) h0 for the generator G, all times in one stack.
+    return _expm(t_grid[:, None, None] * gen)[:, index[config.sorted_counts()]] @ y0
 
 
 def ratio_integrals(params: ModelParamsR, config: Configuration, i: int) -> float:

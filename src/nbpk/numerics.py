@@ -177,18 +177,20 @@ def _compound_log_g(log_f_lv):
 
     ``log_f_lv`` maps N values of log v to shape (N,), or (m, N) for m stacked
     integrands.  Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf;
-    an integrable integrand vanishes there, so they score -inf.
+    an integrable integrand vanishes there, so they score -inf; the mesh has none.
     """
     def log_g(t):
-        ok = (t > 0.0) & (t < 1.0)
-        _, w, lv, log1m_t = _MESH if t is _MESH_T else _compound_map(t[ok])
+        ok = None if t is _MESH_T else (t > 0.0) & (t < 1.0)
+        _, w, lv, log1m_t = _MESH if ok is None else _compound_map(t[ok])
         with np.errstate(all="ignore"):
             vals = log_f_lv(lv)
             if np.ndim(vals) not in (1, 2) or np.shape(vals)[-1] != lv.size:
                 raise ValueError(f"log integrand returned shape {np.shape(vals)} "
                                  f"for {lv.shape} points of log v")
-            out = np.full(np.shape(vals)[:-1] + t.shape, -np.inf)
             # dv = e^w dw contributes the +w term.
+            if ok is None:
+                return vals + w - 2.0 * log1m_t
+            out = np.full(np.shape(vals)[:-1] + t.shape, -np.inf)
             out[..., ok] = vals + w - 2.0 * log1m_t
         return out
 

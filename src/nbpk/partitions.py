@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Iterator, List, Tuple
 
 __all__ = [
@@ -26,10 +27,13 @@ class Configuration:
     def __post_init__(self):
         if len(self.counts) == 0:
             raise ValueError("configuration needs at least one block")
-        if any((not isinstance(c, (int,)) and not float(c).is_integer()) or c < 1
-               for c in self.counts):
-            raise ValueError(f"block counts must be positive integers, got {self.counts}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        # A tuple of positive Python ints, as every method here builds, is kept as it is.
+        counts = self.counts
+        if type(counts) is not tuple or any(type(c) is not int or c < 1 for c in counts):
+            if not all(isinstance(c, Integral) or isinstance(c, Real) and float(c).is_integer()
+                       for c in counts) or min(counts) < 1:
+                raise ValueError(f"block counts must be positive integers, got {counts}")
+            object.__setattr__(self, "counts", tuple(int(c) for c in counts))
 
     @property
     def n(self) -> int:

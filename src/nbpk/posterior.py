@@ -5,8 +5,8 @@ a stack of configurations c from log v alone, as one coefficient matrix times
 the shared kernels (log psi, log v, log pi_m), and the shift-invariant
 quadrature in :mod:`nbpk.numerics` integrates the stack on one panel set.  The
 prediction weights are EPPFs of the configurations enlarged by one
-observation, and the backward terms (n_i/n) p(n) need only p(n).  The kernels
-on the quadrature's first-round mesh are computed once per (model, block size).
+observation, and the backward terms (n_i/n) p(n) need only p(n).  The features
+on the quadrature's first-round mesh are stacked once per (model, block sizes).
 """
 
 from __future__ import annotations
@@ -75,34 +75,35 @@ def _log_g_r_rows(params: ModelParamsR, configs):
     log v does not) evaluable.
     """
     model, r = params.model, params.r
-    sizes = sorted({m for c in configs for m in c.counts})
+    sizes = tuple(sorted({m for c in configs for m in c.counts}))
     column = {m: j for j, m in enumerate(sizes, start=2)}
-    const = np.empty((len(configs), 1))
-    coef = np.zeros((len(configs), len(sizes) + 2))
-    for row, c in enumerate(configs):
-        const[row] = math.lgamma(r + c.k) - math.lgamma(r) - math.lgamma(c.n)
-        coef[row, :2] = -(r + c.k), c.n - 1
+    const, coef = [], []
+    for c in configs:  # as lists: item assignment into numpy arrays costs more than the pass
+        const.append([math.lgamma(r + c.k) - math.lgamma(r) - math.lgamma(c.n)])
+        coef.append([-(r + c.k), c.n - 1] + [0.0] * len(sizes))
         for m in c.counts:
-            coef[row, column[m]] += 1.0
+            coef[-1][column[m]] += 1.0
+    const, coef = np.array(const), np.array(coef)
 
     def log_g(lv):
         if lv is _MESH_LV:
-            features = [_mesh_kernel(log_psi_lv, model), lv] + [
-                _mesh_kernel(log_pi_n_lv, model, m) for m in sizes]
-        else:
-            features = [log_psi_lv(model, lv), lv] + [log_pi_n_lv(model, m, lv) for m in sizes]
-        return const + coef @ np.stack(features)
+            return const + coef @ _mesh_features(log_psi_lv, log_pi_n_lv, model, sizes)
+        return const + coef @ _features(log_psi_lv, log_pi_n_lv, model, sizes, lv)
 
     return log_g
 
 
-@lru_cache(maxsize=1024)
-def _mesh_kernel(kernel, *args) -> np.ndarray:
-    """kernel(*args, lv) on the first-round mesh.  r is not in the key, as no kernel reads
-    it; the kernel is, so a patched kernel never reads another one's columns."""
-    column = kernel(*args, _MESH_LV)
-    column.flags.writeable = False  # every caller shares it
-    return column
+def _features(log_psi, log_pi_n, model, sizes, lv) -> np.ndarray:
+    """The stacked features [log psi, lv, log pi_m for each block size m] at lv."""
+    return np.stack([log_psi(model, lv), lv] + [log_pi_n(model, m, lv) for m in sizes])
+
+
+@lru_cache(maxsize=256)
+def _mesh_features(log_psi, log_pi_n, model, sizes) -> np.ndarray:
+    """``_features`` on the mesh; the kernels are in the key, so a patched one has its own."""
+    features = _features(log_psi, log_pi_n, model, sizes, _MESH_LV)
+    features.flags.writeable = False  # every caller shares it
+    return features
 
 
 def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):

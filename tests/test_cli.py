@@ -71,7 +71,7 @@ def test_validate_times_each_suite_on_stderr(capsys):
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n"
-                            r"mesh kernel cache: \d+ hits, \d+ misses, \d+ columns\n",
+                            r"mesh feature cache: \d+ hits, \d+ misses, \d+ matrices\n",
                             captured.err)
         outs.append(captured.out)
     # The table alone goes to stdout, unchanged by the timings.

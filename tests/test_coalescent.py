@@ -235,6 +235,28 @@ def test_h_solver_rejects_non_finite_times():
             h_solver_exact(Configuration((2,)), phi, t_grid=(0.0, bad))
 
 
+def test_h_solver_rejects_a_grid_that_is_not_one_dimensional():
+    phi = RateFunction(RateKind.TOTAL_N)
+    for bad in ([[0.5]], 0.5, np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            h_solver_exact(Configuration((2,)), phi, t_grid=bad)
+    assert h_solver_exact(Configuration((2,)), phi, t_grid=[]).shape == (0,)
+
+
+@pytest.mark.parametrize("t_grid", [(2.0, 0.1, 0.0, 5.0, 0.5), (1.0, 1.0, 0.0, 1.0, 0.0),
+                                    (0.0,), (0.0, 0.0)], ids=["unsorted", "repeated", "zero",
+                                                              "zeros"])
+def test_h_solver_batched_times_equal_single_time_solves(t_grid):
+    phis = [RateFunction(RateKind.TOTAL_N), RateFunction(RateKind.TOTAL_N_CHOOSE_2)]
+    h0 = lambda c: c.k / c.n
+    for start in [Configuration(c) for c in [(2,), (3, 2, 1), (1, 1, 1, 1), (5, 4, 2)]]:
+        for phi in phis:
+            got = h_solver_exact(start, phi, h0=h0, t_grid=t_grid)
+            want = [h_solver_exact(start, phi, h0=h0, t_grid=(t,))[0] for t in t_grid]
+            assert got.shape == (len(t_grid),)
+            assert np.abs(got - want).max() < 1e-14
+
+
 def test_history_json_lines():
     phi = RateFunction(RateKind.TOTAL_N)
     hist = simulate_backward(Configuration((2, 1)), phi, seed=5)

@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from nbpk.partitions import (
@@ -142,6 +143,21 @@ def test_configuration_parse_roundtrip():
         Configuration((0, 2))
     with pytest.raises(ValueError):
         Configuration(())
+
+
+@pytest.mark.parametrize("counts", [(2, 1), [2, 1], (np.int64(2), 1), (2.0, 1), (True, 1)],
+                         ids=repr)
+def test_configuration_accepts_integral_counts_as_python_ints(counts):
+    stored = Configuration(counts).counts
+    assert stored == tuple(int(c) for c in counts)
+    assert type(stored) is tuple and all(type(c) is int for c in stored)
+
+
+@pytest.mark.parametrize("counts", [(), (0,), (-1,), (2.5,), (math.nan,), (math.inf,), ("2",)],
+                         ids=repr)
+def test_configuration_rejects_bad_counts_with_value_error(counts):
+    with pytest.raises(ValueError):
+        Configuration(counts)
 
 
 def test_afs_vector_roundtrip():

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from nbpk import posterior, reference
+from nbpk import numerics, posterior, reference
 from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n_lv
-from nbpk.numerics import _MESH_LV, log_integrate_halfline_logv
+from nbpk.numerics import _MESH_LV, _MESH_T, LogDensityGridSampler, log_integrate_halfline_logv
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
     _log_g_r_lv,
     _log_g_r_rows,
-    _mesh_kernel,
+    _mesh_features,
     check_prediction_sum,
     check_partition_normalization,
     log_eppf,
@@ -310,10 +310,31 @@ def test_mesh_kernel_cache_changes_no_bit(params):
     assert rows(_MESH_LV).tobytes() == rows(_MESH_LV.copy()).tobytes()
     # And the quadrature gives the same bits from an empty and from a full cache;
     # repr round-trips a float exactly.
-    _mesh_kernel.cache_clear()
+    _mesh_features.cache_clear()
     cold, warm = ([(log_eppf(params, c), predictive_weights(params, c))
                    for c in CACHE_CONFIGS[:5]] for _ in range(2))
     assert repr(cold) == repr(warm)
+
+
+@pytest.mark.parametrize("params", CACHE_MODELS, ids=lambda p: f"{p.model.describe()}-r{p.r}")
+def test_mesh_path_matches_the_general_path_bitwise(params, monkeypatch):
+    # Rows on the mesh nodes and on a writable copy of them, which the quadrature
+    # and the grid sampler treat as arbitrary nodes; one row is -inf everywhere.
+    rows = _log_g_r_rows(params, CACHE_CONFIGS[:5])
+    stack = lambda lv: np.vstack([rows(lv), np.full(np.shape(lv), -np.inf)])
+    sampler_rows = [lambda lv, c=c: _log_g_r_lv(params, c, lv) for c in CACHE_CONFIGS[:5]]
+    real = numerics._panel_log_values
+
+    def run():
+        samplers = [LogDensityGridSampler(f) for f in sampler_rows]
+        return [log_integrate_halfline_logv(stack).tobytes()] + [
+            b"".join(a.tobytes() for a in (s._t, s._cdf, s._l0, s._l1)) for s in samplers]
+
+    on_mesh = run()
+    monkeypatch.setattr(numerics, "_panel_log_values",
+                        lambda log_g, t: real(log_g, t.copy() if t is _MESH_T else t))
+    assert run() == on_mesh
+    assert np.frombuffer(on_mesh[0])[-1] == -np.inf
 
 
 @pytest.mark.parametrize("model", [LevyModel.stable(0.45), LevyModel.gamma(1.3),
@@ -345,5 +366,12 @@ def test_mesh_kernels_are_evaluated_once_per_model_and_block_size(model, monkeyp
         # The V sampler and the moments reach the rows through _log_g_r_lv.
         sample_v(params, Configuration((4, 2)), rng)
         log_v_moment(params, Configuration((3, 3)), 1.0)
-    # psi (key 0) once; pi_m once for every size up to 7, the enlarged blocks'.
-    assert sorted(on_mesh) == list(range(8))
+    # The features are stacked per set of block sizes: a row's own sizes, and the
+    # prediction stack's sizes with 1 and each size plus one.  psi (key 0) is
+    # evaluated once per set, pi_m once per set that holds m.
+    size_sets = {frozenset((4, 2)), frozenset((3,))}
+    for config in configs:
+        size_sets.add(frozenset(config.counts))
+        size_sets.add(frozenset(config.counts) | {1} | {s + 1 for s in config.counts})
+    want = [0] * len(size_sets) + [m for sizes in size_sets for m in sizes]
+    assert sorted(on_mesh) == sorted(want)

@@ -12,6 +12,18 @@ and ``run_seconds`` of ``BENCHMARK.json``.  The output file holds every run's
 ``attempted``, ``failed`` and metrics, and, for every end-to-end metric that
 ``BENCHMARK.json`` declares, each side's median and quartiles, the relative
 change of the medians and the number of pairs the change won.
+
+Per workload it also writes each side's median ``attempted`` and a
+least-squares fit of ``peak_rss_mb`` on ``attempted`` over every run of both
+sides: an intercept I in MB and a slope s in KB per op.  ``perfbench/run.py``
+keeps a few Python objects per op, so s mostly measures the harness, and
+``harness_mb`` = s times the change in median ``attempted`` is the part of a
+memory change that comes from doing more ops rather than from nbpk.  At A ops
+a run reads I + s A, so a throughput gain g alone raises ``peak_rss_mb`` by
+g s A / (I + s A), which crosses the 0.1 bound of ``BENCHMARK.json`` at
+g = 0.1 (1 + I / (s A)); the fit reports that g as ``gain_at_rss_bound``.
+On ``BENCH_11.json`` (40 s runs) that is about +49 % ops on ``table`` and
++27 % on ``urn_warm``.
 """
 
 from __future__ import annotations
@@ -81,6 +93,25 @@ def summarize(pairs, declared):
     return out
 
 
+def rss_fit(pairs, attempted, bound):
+    """peak_rss_mb = I + s * attempted, least squares over every run of both sides.
+
+    `attempted` holds each side's median op count; None if the op counts do not vary.
+    """
+    runs = [p[side] for p in pairs for side in ("parent", "change")]
+    try:
+        slope, intercept = statistics.linear_regression(
+            [r["attempted"] for r in runs], [r["metrics"]["peak_rss_mb"] for r in runs])
+    except statistics.StatisticsError:
+        return None
+    return {
+        "intercept_mb": intercept, "kb_per_op": slope * 1024.0, "runs": len(runs),
+        "harness_mb": slope * (attempted["change"] - attempted["parent"]),
+        "gain_at_rss_bound": bound * (1.0 + intercept / (slope * attempted["parent"]))
+        if slope > 0.0 else None,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
@@ -94,6 +125,7 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
+    rss_bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "peak_rss_mb")
     report = {"parent": None, "change": "working tree", "seconds": seconds,
               "seeds": args.seeds, "python": platform.python_version(),
               "cpus": os.cpu_count(), "workloads": {}}
@@ -111,8 +143,12 @@ def main(argv=None):
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
                 pairs.append(pair)
+            attempted = {side: statistics.median(p[side]["attempted"] for p in pairs)
+                         for side in ("parent", "change")}
             report["workloads"][workload] = {
-                "pairs": pairs, "metrics": summarize(pairs, bench["end_to_end"])}
+                "pairs": pairs, "metrics": summarize(pairs, bench["end_to_end"]),
+                "attempted": attempted,
+                "peak_rss_fit": rss_fit(pairs, attempted, rss_bound)}
             # Written after each workload, so a cut run keeps what it measured.
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
