@@ -125,9 +125,7 @@ def _cmd_predict(args) -> int:
 
 
 def _open_out(args):
-    if args.out:
-        return open(args.out, "w")
-    return sys.stdout
+    return open(args.out, "w") if args.out else sys.stdout
 
 
 def _cmd_gibbs(args) -> int:
@@ -184,10 +182,7 @@ def _default_models(args):
 
 
 def _configs_up_to(n_max):
-    out = []
-    for n in range(1, n_max + 1):
-        out.extend(m.to_configuration() for m in enumerate_afs(n))
-    return out
+    return [m.to_configuration() for n in range(1, n_max + 1) for m in enumerate_afs(n)]
 
 
 def _suite_derivatives(args, add):

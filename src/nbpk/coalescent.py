@@ -86,8 +86,8 @@ class RateFunction:
             if self.custom is None:
                 raise ValueError("custom rate function not provided")
             rate = float(self.custom(config))
-        if config.n >= 2 and not rate > 0.0:
-            raise ValueError(f"rate must be positive for n >= 2, got {rate} at {config}")
+        if config.n >= 2 and not 0.0 < rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {rate} at {config}")
         return rate
 
 
@@ -102,7 +102,7 @@ def backward_event_probabilities(params: ModelParamsR, config: Configuration):
     if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
     p = math.exp(log_eppf(params, config))
-    return p * np.array(config.counts, float) / config.n, p
+    return np.array([p * ni for ni in config.counts]) / config.n, p
 
 
 def transition_rates(config: Configuration, phi: RateFunction) -> np.ndarray:
@@ -151,21 +151,28 @@ def _reachable_states(start: Configuration) -> List[Tuple[int, ...]]:
     return sorted(seen, key=lambda s: (sum(s), s))
 
 
+# The Taylor coefficients 1/j!, j = 0..18, and a zero: row k weighs I, A, A^2, A^3 in (A^4)^k.
+_TAYLOR_BLOCKS = np.append(1.0 / np.cumprod([1.0, *range(1, 19)]), 0.0).reshape(5, 4)
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of each matrix in the stack a, shape (times, d, d), by scaling and squaring.
 
     Each matrix is scaled to 1-norm <= 1/2, where a degree-18 Taylor polynomial
     has truncation error below 0.5^19 / 19! ~ 2e-23 relative, and squared back.
+    Paterson-Stockmeyer evaluates it in 7 batched products: Horner's rule in A^4.
     """
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     # A zero matrix needs no squaring; a non-finite one raises FloatingPointError.
     with np.errstate(divide="ignore", invalid="raise"):
         squarings = np.maximum(np.ceil(np.log2(2.0 * norm)), 0.0).astype(int)
     a = a / (2.0 ** squarings)[:, None, None]
-    term = out = np.eye(a.shape[-1])
-    for j in range(1, 19):
-        term = term @ a / j
-        out = out + term
+    a2 = a @ a
+    powers = np.array([np.broadcast_to(np.eye(a.shape[-1]), a.shape), a, a2, a2 @ a])
+    blocks = (_TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape((5,) + a.shape)
+    a4, out = a2 @ a2, blocks[4]
+    for block in blocks[3::-1]:
+        out = out @ a4 + block
     for j in range(squarings.max(initial=0)):
         out = np.where((squarings > j)[:, None, None], out @ out, out)
     return out
@@ -204,7 +211,11 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
 
     y0 = np.array([h0(c) for c in configs], float)
     # H(t) = exp(t G) h0 for the generator G, all times in one stack.
-    return _expm(t_grid[:, None, None] * gen)[:, index[config.sorted_counts()]] @ y0
+    with np.errstate(over="ignore"):  # _expm scales t G by twice its 1-norm: finite too
+        tg = t_grid[:, None, None] * gen
+        if not np.isfinite(2.0 * np.abs(tg).sum(axis=-2)).all():
+            raise ValueError("t G leaves float range: a rate or a time is too large")
+    return _expm(tg)[:, index[config.sorted_counts()]] @ y0
 
 
 def ratio_integrals(params: ModelParamsR, config: Configuration, i: int) -> float:

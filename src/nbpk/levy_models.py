@@ -134,9 +134,7 @@ def log_psi_lv(model: LevyModel, lv):
     else:  # truncated stable: integration by parts of the defining integral over (0, 1]
         with np.errstate(over="ignore"):
             out = np.logaddexp(-np.exp(lv), a * lv + _log_lower_gamma_lv(1.0 - a, lv))
-    if scalar:
-        return float(out[0])
-    return out
+    return float(out[0]) if scalar else out
 
 
 def log_pi_n_lv(model: LevyModel, n: int, lv):
@@ -155,7 +153,4 @@ def log_pi_n_lv(model: LevyModel, n: int, lv):
                + (a - n) * np.logaddexp(0.0, lv))
     else:  # truncated stable
         out = math.log(a) + (a - n) * lv + _log_lower_gamma_lv(n - a, lv)
-    out = np.asarray(out, float)
-    if scalar:
-        return float(out[0])
-    return out
+    return float(out[0]) if scalar else out

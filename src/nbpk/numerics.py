@@ -8,7 +8,7 @@ the shift at the end, so adding a constant to ``log_f`` shifts the result exactl
 The engine bisects panels with the nested Gauss-Kronrod rule: one evaluation
 at a panel's 15 Kronrod nodes gives its mass and, through the embedded 7-point
 Gauss rule, its error.  Every integral's first round is one fixed, precomputed
-mesh (``_MESH``), whose lv array an integrand may recognise and cache columns on.
+mesh, whose lv array ``_MESH_LV`` an integrand may recognise and cache columns on.
 """
 
 from __future__ import annotations
@@ -75,80 +75,6 @@ def _panel_nodes(a, b):
     return (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K15_NODES).ravel()
 
 
-def _panel_log_values(log_g, t):
-    """log_g at the flat panel nodes t; shape rows + (panels, 15)."""
-    vals = log_g(t)
-    if np.isnan(vals).any():
-        raise QuadratureError("log integrand returned NaN")
-    return vals.reshape(vals.shape[:-1] + (-1, 15))
-
-
-class _Panels(NamedTuple):
-    """Converged panels in refinement order; rows is () for a 1-d integrand, else (m,)."""
-    a: np.ndarray       # left edges
-    b: np.ndarray       # right edges
-    l15: np.ndarray     # log integrand at each panel's K15 nodes, shape rows + (panels, 15)
-    shift: np.ndarray   # log scale of each row's masses, shape rows; -inf for a row that is zero
-    mass: np.ndarray    # K15 estimate of each panel's integral / e^shift, shape rows + (panels,)
-
-
-def _log_integrate_unit(log_g) -> _Panels:
-    """Adaptive Gauss-Kronrod bisection of (0, 1) until every row's K15 total converges.
-
-    This is the package's one adaptive engine: the integrator sums the returned
-    panel masses and the grid sampler builds its CDF from the same panels.  All
-    rows share the panels; each row has its own shift and its own test
-    err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.
-    """
-    a, b = _EDGES[:-1], _EDGES[1:]
-    l15 = _panel_log_values(log_g, _MESH_T)
-    splits = 0
-
-    while True:
-        m = l15.max(axis=(-2, -1), initial=-np.inf)
-        # A row that is -inf everywhere is identically zero: zero masses, shift -inf.
-        dead = ~np.isfinite(m)
-        live_m = np.where(dead, 0.0, m)[..., None, None]
-        sums = (0.5 * (b - a))[:, None] * (np.exp(l15 - live_m) @ _RULE_COLUMNS)
-        mass = sums[..., 0]
-        err = np.abs(sums[..., 1])
-        total = mass.sum(axis=-1)
-        total_err = err.sum(axis=-1)
-        done = dead | ((total > 0.0) & (total_err <= _REL_TOL * total))
-        if done.all():
-            return _Panels(a, b, l15, m, mass)
-
-        # Split every panel whose error exceeds an unconverged row's fair share
-        # of that row's budget; always split at least the worst one.
-        thresh = np.where(total > 0.0, _REL_TOL * total / len(a), np.inf)
-        open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))
-        to_split = np.flatnonzero((open_err > thresh.reshape(-1, 1)).any(axis=0))
-        if to_split.size == 0:
-            to_split = np.array([int(np.argmax(open_err.max(axis=0)))])
-        if splits + to_split.size > _MAX_SUBDIVISIONS:
-            # Report the unconverged row with the largest relative error.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rel = np.where(total > 0.0, total_err / total, np.inf)
-            j = np.unravel_index(np.argmax(np.where(done, -np.inf, rel)), rel.shape)
-            raise QuadratureError(
-                "adaptive quadrature did not converge within "
-                f"{_MAX_SUBDIVISIONS} subdivisions",
-                best_estimate=m[j] + math.log(total[j]) if total[j] > 0 else -np.inf,
-                error_bound=float(rel[j]),
-            )
-        splits += to_split.size
-
-        keep = np.ones(len(a), dtype=bool)
-        keep[to_split] = False
-        mid = 0.5 * (a[to_split] + b[to_split])
-        new_a = np.concatenate([a[to_split], mid])
-        new_b = np.concatenate([mid, b[to_split]])
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        l15 = np.concatenate([l15[..., keep, :],
-                              _panel_log_values(log_g, _panel_nodes(new_a, new_b))], axis=-2)
-
-
 def _log_expm1(w):
     """log(e^w - 1), elementwise, stable for both tiny and huge w."""
     w = np.asarray(w, float)
@@ -160,41 +86,117 @@ def _log_expm1(w):
 
 
 def _compound_map(t):
-    """Nodes t in (0, 1) with w = t/(1-t), lv = log(e^w - 1) and log(1-t)."""
+    """lv = log v at nodes t in (0, 1), for v = exp(w) - 1, w = t/(1-t), and the two
+    terms of the log Jacobian log dv/dt = w - 2 log(1-t): w and 2 log(1-t)."""
     w = t / (1.0 - t)
-    return t, w, _log_expm1(w), np.log1p(-t)
+    return _log_expm1(w), w, 2.0 * np.log1p(-t)
 
 
 # The first round's nodes, all inside (0, 1), mapped once and read-only.
-_MESH = _compound_map(_panel_nodes(_EDGES[:-1], _EDGES[1:]))
-_MESH_T, _MESH_LV = _MESH[0], _MESH[2]
-for _a in _MESH:
+_MESH_T = _panel_nodes(_EDGES[:-1], _EDGES[1:])
+_MESH_LV, _MESH_W, _MESH_2LOG1M = _compound_map(_MESH_T)
+for _a in (_MESH_T, _MESH_LV, _MESH_W, _MESH_2LOG1M):
     _a.flags.writeable = False
+_MESH_RULE = (0.5 / _INITIAL_PANELS) * _RULE_COLUMNS  # times the panels' half-width: exact
 
 
-def _compound_log_g(log_f_lv):
-    """Pull a log integrand of log v back to t in (0, 1) by v = exp(w) - 1, w = t/(1-t).
+def _log_f(log_f_lv, lv):
+    """log_f_lv at the points lv, checked to give shape (N,), or (m, N) for m stacked rows."""
+    vals = log_f_lv(lv)
+    if np.ndim(vals) not in (1, 2) or np.shape(vals)[-1] != lv.size:
+        raise ValueError(f"log integrand returned shape {np.shape(vals)} for {lv.shape} points")
+    return vals
 
-    ``log_f_lv`` maps N values of log v to shape (N,), or (m, N) for m stacked
-    integrands.  Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf;
-    an integrable integrand vanishes there, so they score -inf; the mesh has none.
+
+def _log_g(log_f_lv, t):
+    """The integrand pulled back to the flat nodes t: log f(lv) + log dv/dt; rows + (N,).
+
+    Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf; an integrable
+    integrand vanishes there, so they score -inf.
     """
-    def log_g(t):
-        ok = None if t is _MESH_T else (t > 0.0) & (t < 1.0)
-        _, w, lv, log1m_t = _MESH if ok is None else _compound_map(t[ok])
-        with np.errstate(all="ignore"):
-            vals = log_f_lv(lv)
-            if np.ndim(vals) not in (1, 2) or np.shape(vals)[-1] != lv.size:
-                raise ValueError(f"log integrand returned shape {np.shape(vals)} "
-                                 f"for {lv.shape} points of log v")
-            # dv = e^w dw contributes the +w term.
-            if ok is None:
-                return vals + w - 2.0 * log1m_t
-            out = np.full(np.shape(vals)[:-1] + t.shape, -np.inf)
-            out[..., ok] = vals + w - 2.0 * log1m_t
-        return out
+    ok = (t > 0.0) & (t < 1.0)
+    lv, w, two_log1m_t = _compound_map(t[ok])
+    vals = _log_f(log_f_lv, lv)
+    out = np.full(vals.shape[:-1] + t.shape, -np.inf)
+    out[..., ok] = vals + w - two_log1m_t  # round 1's order: any round gives a node one value
+    return out
 
-    return log_g
+
+class _Panels(NamedTuple):
+    """Converged panels in refinement order; rows is () for a 1-d integrand, else (m,)."""
+    a: np.ndarray          # left edges
+    b: np.ndarray          # right edges
+    l15: np.ndarray        # log integrand at each panel's K15 nodes, shape rows + (panels, 15)
+    mass: np.ndarray       # each panel's K15 estimate / e^(row max), shape rows + (panels,)
+    log_total: np.ndarray  # log of each row's integral, shape rows; -inf for a row that is zero
+
+
+def _log_integrate_unit(log_f_lv) -> _Panels:
+    """Adaptive Gauss-Kronrod bisection of (0, 1) until every row's K15 total converges.
+
+    This is the package's one adaptive engine: the integrator reads the
+    returned totals and the grid sampler builds its CDF from the same panels.
+    All rows share the panels; each row has its own test
+    err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.
+    Round 1 is the mesh, whose lv and Jacobian terms are precomputed: when every
+    row converges there, the pass is one integrand call, one max, one exp, one
+    rule product and one test.  Otherwise refinement continues from the
+    round-1 values, so no node is evaluated twice.
+    """
+    a, b, splits = _EDGES[:-1], _EDGES[1:], 0
+    with np.errstate(all="ignore"):
+        l15 = _log_f(log_f_lv, _MESH_LV) + _MESH_W - _MESH_2LOG1M
+        l15 = l15.reshape(l15.shape[:-1] + (_INITIAL_PANELS, 15))
+        m = l15.max(axis=(-2, -1))
+        sums = np.exp(l15 - m[..., None, None]) @ _MESH_RULE
+        total = sums[..., 0].sum(axis=-1)
+        # A NaN or a row whose max is not finite fails this test and meets the checks below.
+        if (np.abs(sums[..., 1]).sum(axis=-1) <= _REL_TOL * total).all():
+            return _Panels(a, b, l15, sums[..., 0], m + np.log(total))
+
+        while True:
+            m = l15.max(axis=(-2, -1))
+            if np.isnan(m).any():  # the max of a row holding a NaN is NaN
+                raise QuadratureError("log integrand returned NaN")
+            # A row that is -inf everywhere is identically zero: zero masses, log total -inf.
+            dead = ~np.isfinite(m)
+            live_m = np.where(dead, 0.0, m)[..., None, None]
+            sums = (0.5 * (b - a))[:, None] * (np.exp(l15 - live_m) @ _RULE_COLUMNS)
+            mass, err = sums[..., 0], np.abs(sums[..., 1])
+            total, total_err = mass.sum(axis=-1), err.sum(axis=-1)
+            done = dead | ((total > 0.0) & (total_err <= _REL_TOL * total))
+            if done.all():
+                return _Panels(a, b, l15, mass, m + np.log(total))
+
+            # Split every panel whose error exceeds an unconverged row's fair share
+            # of that row's budget; always split at least the worst one.
+            thresh = np.where(total > 0.0, _REL_TOL * total / len(a), np.inf)
+            open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))
+            to_split = np.flatnonzero((open_err > thresh.reshape(-1, 1)).any(axis=0))
+            if to_split.size == 0:
+                to_split = np.array([int(np.argmax(open_err.max(axis=0)))])
+            if splits + to_split.size > _MAX_SUBDIVISIONS:
+                # Report the unconverged row with the largest relative error.
+                rel = np.where(total > 0.0, total_err / total, np.inf)
+                j = np.unravel_index(np.argmax(np.where(done, -np.inf, rel)), rel.shape)
+                raise QuadratureError(
+                    "adaptive quadrature did not converge within "
+                    f"{_MAX_SUBDIVISIONS} subdivisions",
+                    best_estimate=m[j] + math.log(total[j]) if total[j] > 0 else -np.inf,
+                    error_bound=float(rel[j]),
+                )
+            splits += to_split.size
+
+            keep = np.ones(len(a), dtype=bool)
+            keep[to_split] = False
+            mid = 0.5 * (a[to_split] + b[to_split])
+            new_a = np.concatenate([a[to_split], mid])
+            new_b = np.concatenate([mid, b[to_split]])
+            a = np.concatenate([a[keep], new_a])
+            b = np.concatenate([b[keep], new_b])
+            new = _log_g(log_f_lv, _panel_nodes(new_a, new_b))
+            l15 = np.concatenate([l15[..., keep, :], new.reshape(new.shape[:-1] + (-1, 15))],
+                                 axis=-2)
 
 
 def log_integrate_halfline_logv(log_f_lv: Callable):
@@ -209,9 +211,7 @@ def log_integrate_halfline_logv(log_f_lv: Callable):
     shared panel set, each to its own relative tolerance.  The lv array it gets
     is read-only and may be shared between calls: it must not be modified.
     """
-    panels = _log_integrate_unit(_compound_log_g(log_f_lv))
-    with np.errstate(divide="ignore"):
-        logs = panels.shift + np.log(panels.mass.sum(axis=-1))
+    logs = _log_integrate_unit(log_f_lv).log_total
     return float(logs) if logs.ndim == 0 else logs
 
 
@@ -223,20 +223,18 @@ def _cell_log_masses(t, logg):
     Cells with a -inf endpoint are handled by clamping the slope.
     """
     h = np.diff(t)
-    l0 = logg[:-1].copy()
-    l1 = logg[1:].copy()
+    l0, l1 = logg[:-1], logg[1:]
     top = np.maximum(l0, l1)
     both_dead = ~np.isfinite(top)
     # Clamp -inf endpoints 45 nats below the live endpoint: the resulting mass
     # error is below e^-45 relative and keeps the exponential inversion finite.
     l0 = np.maximum(l0, top - 45.0)
     l1 = np.maximum(l1, top - 45.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = l1 - l0
-        # mass = h * e^top * (1 - e^{-|d|}) / |d|, with the d -> 0 limit h*e^top.
-        ad = np.abs(d)
-        ratio = np.where(ad < 1e-12, 1.0 - 0.5 * ad, -np.expm1(-ad) / np.where(ad == 0, 1.0, ad))
-        logm = top + np.log(h) + np.log(ratio)
+    d = l1 - l0
+    # mass = h * e^top * (1 - e^{-|d|}) / |d|, with the d -> 0 limit h*e^top.
+    ad = np.abs(d)
+    ratio = np.where(ad < 1e-12, 1.0 - 0.5 * ad, -np.expm1(-ad) / np.where(ad == 0, 1.0, ad))
+    logm = top + np.log(h) + np.log(ratio)
     logm[both_dead] = -np.inf
     return logm, l0, l1
 
@@ -255,29 +253,25 @@ class LogDensityGridSampler:
     """
 
     def __init__(self, log_density_lv):
-        log_g = _compound_log_g(log_density_lv)
-        panels = _log_integrate_unit(log_g)
-        if panels.shift == -np.inf:
+        panels = _log_integrate_unit(log_density_lv)
+        if panels.log_total == -np.inf:
             raise ValueError("degenerate grid: log density is -inf everywhere")
         order = np.argsort(panels.a)
         a, b = panels.a[order], panels.b[order]
-        ledge = log_g(np.append(a, 1.0))
-        if np.isnan(ledge).any():
-            raise QuadratureError("log integrand returned NaN")
-        t = np.append(np.column_stack([a, _panel_nodes(a, b).reshape(-1, 15)]).ravel(), 1.0)
-        logg = np.append(np.column_stack([ledge[:-1], panels.l15[order]]).ravel(), ledge[-1])
-        logm, l0, l1 = _cell_log_masses(t, logg)
+        with np.errstate(all="ignore"):
+            ledge = _log_g(log_density_lv, np.append(a, 1.0))
+            if np.isnan(ledge).any():
+                raise QuadratureError("log integrand returned NaN")
+            t = np.append(np.column_stack([a, _panel_nodes(a, b).reshape(-1, 15)]).ravel(), 1.0)
+            logg = np.append(np.column_stack([ledge[:-1], panels.l15[order]]).ravel(), ledge[-1])
+            logm, l0, l1 = _cell_log_masses(t, logg)
         # Rescale each panel's 16 cells to the panel's K15 mass.
         logm = logm.reshape(len(a), 16)
         top = logm.max(axis=1, keepdims=True)
         rel = np.exp(logm - np.where(np.isfinite(top), top, 0.0))
         masses = rel * (panels.mass[order] / np.maximum(rel.sum(axis=1), 1.0))[:, None]
         cdf = np.concatenate([[0.0], np.cumsum(masses)])
-        self._t = t
-        self._cdf = cdf / cdf[-1]
-        self._l0 = l0
-        self._l1 = l1
-        self._h = np.diff(t)
+        self._t, self._cdf, self._l0, self._l1, self._h = t, cdf / cdf[-1], l0, l1, np.diff(t)
 
     def sample_lv(self, rng) -> float:
         """One draw, returned as log v; exact even where v overflows a float."""

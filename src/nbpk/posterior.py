@@ -72,18 +72,20 @@ def _log_g_r_rows(params: ModelParamsR, configs):
     are one product of a coefficient matrix, built here once, with the shared
     features [log psi, lv, log pi_m for each block size m].  Working from
     lv = log v keeps the Gamma-family tail (where v overflows a float but
-    log v does not) evaluable.
+    log v does not) evaluable.  A configuration may be a tuple of block sizes.
     """
     model, r = params.model, params.r
-    sizes = tuple(sorted({m for c in configs for m in c.counts}))
-    column = {m: j for j, m in enumerate(sizes, start=2)}
-    const, coef = [], []
+    sizes = tuple(sorted({m for c in configs for m in c}))
+    column = {m: j for j, m in enumerate(sizes, start=3)}
+    rows = []
     for c in configs:  # as lists: item assignment into numpy arrays costs more than the pass
-        const.append([math.lgamma(r + c.k) - math.lgamma(r) - math.lgamma(c.n)])
-        coef.append([-(r + c.k), c.n - 1] + [0.0] * len(sizes))
-        for m in c.counts:
-            coef[-1][column[m]] += 1.0
-    const, coef = np.array(const), np.array(coef)
+        k, n = len(c), sum(c)
+        rows.append([math.lgamma(r + k) - math.lgamma(r) - math.lgamma(n), -(r + k), n - 1]
+                    + [0.0] * len(sizes))
+        for m in c:
+            rows[-1][column[m]] += 1.0
+    rows = np.array(rows)
+    const, coef = rows[:, :1], rows[:, 1:]
 
     def log_g(lv):
         if lv is _MESH_LV:
@@ -111,6 +113,13 @@ def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
     lv = np.asarray(lv, float)  # a 1-d float array passes through, so the mesh is recognised
     out = _log_g_r_rows(params, [config])(lv if lv.ndim == 1 else lv.ravel())[0]
     return float(out[0]) if lv.ndim == 0 else out.reshape(lv.shape)
+
+
+def _enlarged(counts):
+    """n + a new block, then n + e_s for each distinct size s in increasing order, as
+    tuples of block sizes: an EPPF depends on the sizes only, not their order."""
+    return [counts + (1,)] + [counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+                              for i in map(counts.index, sorted(set(counts)))]
 
 
 def _log_eppfs(params: ModelParamsR, configs) -> np.ndarray:
@@ -141,12 +150,10 @@ def predictive_weights(params: ModelParamsR, config: Configuration) -> Predictiv
     (``check_prediction_sum``, ``PredictiveWeights.normalized``), the EPPF's
     consistency under adding one observation.
     """
-    sizes = sorted(set(config.counts))
-    enlarged = [config.add_one(config.counts.index(s)) for s in sizes]
-    logs = _log_eppfs(params, [config, config.append_block(), *enlarged])
-    log_omega = dict(zip(sizes, (math.log(config.n) + logs[2:]).tolist()))
-    return PredictiveWeights(float(logs[1]), tuple(log_omega[ni] for ni in config.counts),
-                             float(logs[0]))
+    counts = config.counts
+    logs = _log_eppfs(params, [counts, *_enlarged(counts)]).tolist()
+    log_omega = {s: math.log(config.n) + lw for s, lw in zip(sorted(set(counts)), logs[2:])}
+    return PredictiveWeights(logs[1], tuple(map(log_omega.get, counts)), logs[0])
 
 
 def normalized_predictive(params: ModelParamsR, config: Configuration) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .levy_models import ModelParamsR
 from .numerics import LogDensityGridSampler
 from .partitions import AFSVector, Configuration, afs
-from .posterior import _log_g_r_lv, _log_g_r_rows
+from .posterior import _enlarged, _log_g_r_lv, _log_g_r_rows
 
 __all__ = [
     "GibbsSampleRecord",
@@ -94,11 +94,7 @@ def _urn(params: ModelParamsR, sorted_counts: Tuple[int, ...]) -> _Urn:
     the choice depends on v.  The empty class has the one row g_r(v, (1,)).
     """
     sizes = sorted(set(sorted_counts))
-    enlarged = [Configuration(sorted_counts + (1,))]
-    for s in sizes:
-        i = sorted_counts.index(s)
-        enlarged.append(Configuration(sorted_counts[:i] + (s + 1,) + sorted_counts[i + 1:]))
-    log_g = _log_g_r_rows(params, enlarged)
+    log_g = _log_g_r_rows(params, _enlarged(sorted_counts))
     log_mult = np.log([1] + [sorted_counts.count(s) for s in sizes])[:, None]
     sampler = LogDensityGridSampler(
         lambda lv: np.logaddexp.reduce(log_g(lv) + log_mult, axis=0))

@@ -243,6 +243,23 @@ def test_h_solver_rejects_a_grid_that_is_not_one_dimensional():
     assert h_solver_exact(Configuration((2,)), phi, t_grid=[]).shape == (0,)
 
 
+def test_rate_must_be_finite():
+    # An infinite rate used to reach the matrix exponential and fail there.
+    phi = RateFunction(RateKind.CUSTOM, custom=lambda c: math.inf)
+    with pytest.raises(ValueError, match="positive and finite"):
+        phi(Configuration((2, 1)))
+    with pytest.raises(ValueError, match="positive and finite"):
+        h_solver_exact(Configuration((2, 1)), phi)
+
+
+@pytest.mark.parametrize("rate,t", [(1e308, 1.0), (1e300, 1e10), (1e200, 1e200)])
+def test_h_solver_rejects_t_g_that_overflows(rate, t):
+    # Finite rates and times whose product, or the 1-norm of t G, leaves float range.
+    phi = RateFunction(RateKind.CUSTOM, custom=lambda c: rate)
+    with pytest.raises(ValueError, match="t G"):
+        h_solver_exact(Configuration((2, 1)), phi, t_grid=(0.5, t))
+
+
 @pytest.mark.parametrize("t_grid", [(2.0, 0.1, 0.0, 5.0, 0.5), (1.0, 1.0, 0.0, 1.0, 0.0),
                                     (0.0,), (0.0, 0.0)], ids=["unsorted", "repeated", "zero",
                                                               "zeros"])

@@ -16,7 +16,7 @@ from nbpk.numerics import (
     log_integrate_halfline_logv,
 )
 from nbpk.partitions import Configuration
-from nbpk.posterior import log_eppf
+from nbpk.posterior import _log_g_r_rows, log_eppf
 from nbpk.sampler import _v_sampler, sample_v
 
 
@@ -215,6 +215,48 @@ def test_grid_sampler_sample_lv_consistent():
     lv = _v_sampler(params, config.sorted_counts()).sample_lv(np.random.default_rng(11))
     v = sample_v(params, config, np.random.default_rng(11))
     assert v == pytest.approx(math.exp(lv))
+
+
+def _recording(log_f_lv, seen):
+    def log_f(lv):
+        seen.append(lv)
+        return log_f_lv(lv)
+    return log_f
+
+
+def test_round_one_evaluates_the_mesh_once_and_nothing_else():
+    seen = []
+    rows = _log_g_r_rows(ModelParamsR(LevyModel.gamma(1.0), 2.0),
+                         [Configuration((3, 2, 1)), Configuration((2, 1))])
+    alone = log_integrate_halfline_logv(_recording(rows, seen))
+    assert len(seen) == 1 and seen[0] is numerics._MESH_LV
+    # A row that is -inf everywhere beside live rows that converge in round 1.
+    seen.clear()
+    got = log_integrate_halfline_logv(
+        _recording(lambda lv: np.vstack([rows(lv), np.full(lv.shape, -np.inf)]), seen))
+    assert len(seen) == 1 and seen[0] is numerics._MESH_LV
+    assert got[:2].tobytes() == alone.tobytes() and got[2] == -np.inf
+    # An all-dead grid raises, after the one round-1 evaluation.
+    seen.clear()
+    with pytest.raises(ValueError):
+        LogDensityGridSampler(_recording(lambda lv: np.full_like(lv, -np.inf), seen))
+    assert len(seen) == 1 and seen[0] is numerics._MESH_LV
+
+
+def test_refinement_continues_from_round_one_without_evaluating_a_node_twice():
+    # stable's v^(k alpha - 1) singularity at v = 0 is refined for 48 rounds at k = 1.
+    seen = []
+    rows = _log_g_r_rows(ModelParamsR(LevyModel.stable(0.5), 1.5), [Configuration((2,))])
+    log_integrate_halfline_logv(_recording(rows, seen))
+    assert seen[0] is numerics._MESH_LV
+    assert all(lv is not numerics._MESH_LV for lv in seen[1:])
+    nodes = np.concatenate(seen)
+    assert nodes.size == 1710 and np.unique(nodes).size == nodes.size
+    # The grid sampler refines the same way, then evaluates only its panel edges.
+    seen.clear()
+    sampler = LogDensityGridSampler(_recording(lambda lv: rows(lv)[0], seen))
+    edges = seen.pop()
+    assert np.concatenate(seen).size == 1710 and edges.size == len(sampler._t) // 16 - 1
 
 
 def test_grid_sampler_degenerate_raises():

@@ -318,12 +318,11 @@ def test_mesh_kernel_cache_changes_no_bit(params):
 
 @pytest.mark.parametrize("params", CACHE_MODELS, ids=lambda p: f"{p.model.describe()}-r{p.r}")
 def test_mesh_path_matches_the_general_path_bitwise(params, monkeypatch):
-    # Rows on the mesh nodes and on a writable copy of them, which the quadrature
-    # and the grid sampler treat as arbitrary nodes; one row is -inf everywhere.
+    # Rows on the mesh's lv and on a writable copy of it, which the rows treat as
+    # arbitrary nodes; one row is -inf everywhere.
     rows = _log_g_r_rows(params, CACHE_CONFIGS[:5])
     stack = lambda lv: np.vstack([rows(lv), np.full(np.shape(lv), -np.inf)])
     sampler_rows = [lambda lv, c=c: _log_g_r_lv(params, c, lv) for c in CACHE_CONFIGS[:5]]
-    real = numerics._panel_log_values
 
     def run():
         samplers = [LogDensityGridSampler(f) for f in sampler_rows]
@@ -331,8 +330,10 @@ def test_mesh_path_matches_the_general_path_bitwise(params, monkeypatch):
             b"".join(a.tobytes() for a in (s._t, s._cdf, s._l0, s._l1)) for s in samplers]
 
     on_mesh = run()
-    monkeypatch.setattr(numerics, "_panel_log_values",
-                        lambda log_g, t: real(log_g, t.copy() if t is _MESH_T else t))
+    # Refinement's node map gives the mesh nodes the values round 1 gives them.
+    round1 = stack(_MESH_LV) + numerics._MESH_W - numerics._MESH_2LOG1M
+    assert numerics._log_g(stack, _MESH_T.copy()).tobytes() == round1.tobytes()
+    monkeypatch.setattr(numerics, "_MESH_LV", _MESH_LV.copy())
     assert run() == on_mesh
     assert np.frombuffer(on_mesh[0])[-1] == -np.inf
 

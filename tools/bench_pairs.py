@@ -22,8 +22,13 @@ memory change that comes from doing more ops rather than from nbpk.  At A ops
 a run reads I + s A, so a throughput gain g alone raises ``peak_rss_mb`` by
 g s A / (I + s A), which crosses the 0.1 bound of ``BENCHMARK.json`` at
 g = 0.1 (1 + I / (s A)); the fit reports that g as ``gain_at_rss_bound``.
-On ``BENCH_11.json`` (40 s runs) that is about +49 % ops on ``table`` and
-+27 % on ``urn_warm``.
+On ``BENCH_12.json`` (40 s runs) that is about +38 % ops on ``table`` and
++24 % on ``urn_warm``.
+
+Per workload, ``gate`` lists every end-to-end metric whose median moved the
+wrong way by more than its ``BENCHMARK.json`` bound (an empty list when none
+did), and the script prints it to stderr as each workload finishes, so a
+regression shows before the full comparison is read.
 """
 
 from __future__ import annotations
@@ -93,6 +98,18 @@ def summarize(pairs, declared):
     return out
 
 
+def gate(metrics):
+    """The metrics whose change median is worse than the parent's by more than their bound."""
+    failed = []
+    for name, m in metrics.items():
+        parent, change = m["parent"]["median"], m["change"]["median"]
+        worse = change - parent if m["better"] == "lower" else parent - change
+        if worse > m["bound"] * abs(parent):
+            failed.append({"metric": name, "parent": parent, "change": change,
+                           "median_rel_change": m["median_rel_change"], "bound": m["bound"]})
+    return failed
+
+
 def rss_fit(pairs, attempted, bound):
     """peak_rss_mb = I + s * attempted, least squares over every run of both sides.
 
@@ -145,10 +162,16 @@ def main(argv=None):
                 pairs.append(pair)
             attempted = {side: statistics.median(p[side]["attempted"] for p in pairs)
                          for side in ("parent", "change")}
+            metrics = summarize(pairs, bench["end_to_end"])
             report["workloads"][workload] = {
-                "pairs": pairs, "metrics": summarize(pairs, bench["end_to_end"]),
+                "pairs": pairs, "metrics": metrics, "gate": gate(metrics),
                 "attempted": attempted,
                 "peak_rss_fit": rss_fit(pairs, attempted, rss_bound)}
+            failed = report["workloads"][workload]["gate"]
+            print(f"{workload} gate: " + ("; ".join(
+                f"{g['metric']} {g['parent']:.4g} -> {g['change']:.4g} (bound {g['bound']})"
+                for g in failed) if failed else "every metric within its bound"),
+                file=sys.stderr, flush=True)
             # Written after each workload, so a cut run keeps what it measured.
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
