@@ -16,35 +16,17 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import reference
-from .coalescent import (
-    RateFunction,
-    RateKind,
-    backward_event_probabilities,
-    h_solver_exact,
-    history_to_json_lines,
-    ratio_integrals,
-    simulate_backward,
-)
-from .levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
+from . import checks
+from .coalescent import (RateFunction, RateKind, h_solver_exact, history_to_json_lines,
+                         simulate_backward)
+from .levy_models import LevyModel, ModelParamsR
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
                        QuadratureError)
-from .partitions import Configuration, enumerate_afs, log_partition_coefficient
-from .posterior import (
-    _mesh_features,
-    check_partition_normalization,
-    check_prediction_sum,
-    log_eppf,
-    log_v_moment,
-    normalized_predictive,
-    predictive_weights,
-)
-from .sampler import run_chain, sample_v
+from .partitions import Configuration
+from .posterior import _mesh_features, log_eppf, predictive_weights
+from .sampler import run_chain
 
 DEFAULT_SEED = 1729
-
-_SUITES = ("derivatives", "pd", "rfree", "predsum", "partnorm", "predict",
-           "coalescent", "hsolver", "vmoments", "gibbs")
 
 
 def _add_model_args(p):
@@ -173,200 +155,46 @@ def _default_models(args):
     r = args.r if args.r is not None else 2.0
     if args.model is not None:
         return [ModelParamsR(_build_model(args), r)]
-    return [
-        ModelParamsR(LevyModel.stable(0.5), r),
-        ModelParamsR(LevyModel.gamma(1.0), r),
-        ModelParamsR(LevyModel.generalized_gamma(0.5), r),
-        ModelParamsR(LevyModel.truncated_stable(0.5), r),
-    ]
+    models = (LevyModel.stable(0.5), LevyModel.gamma(1.0), LevyModel.generalized_gamma(0.5),
+              LevyModel.truncated_stable(0.5))
+    return [ModelParamsR(model, r) for model in models]
 
 
-def _configs_up_to(n_max):
-    return [m.to_configuration() for n in range(1, n_max + 1) for m in enumerate_afs(n)]
-
-
-def _suite_derivatives(args, add):
-    # psi' = pi_1 and pi_n = -pi_{n-1}' by central differences of the log-v kernels.
-    vgrid = [0.01, 0.1, 1.0, 10.0, 100.0]
-    for params in _default_models(args):
-        model = params.model
-
-        def psi(v):
-            return math.exp(log_psi_lv(model, math.log(v)))
-
-        def pi(n, v):
-            return math.exp(log_pi_n_lv(model, n, math.log(v)))
-
-        worst = 0.0
-        for v in vgrid:
-            h = 1e-5 * v
-            d_psi = (psi(v + h) - psi(v - h)) / (2 * h)
-            pi1 = pi(1, v)
-            worst = max(worst, abs(pi1 - d_psi) / pi1)
-            for n in range(2, min(args.n_max, 10) + 1):
-                d_prev = (pi(n - 1, v + h) - pi(n - 1, v - h)) / (2 * h)
-                pin = pi(n, v)
-                worst = max(worst, abs(pin + d_prev) / pin)
-        add("derivatives", model.describe(), worst, worst < 1e-5)
-
-
-def _suite_pd(args, add):
-    for alpha in (0.3, 0.7):
-        for theta in (1.0, 2.0):
-            params = ModelParamsR(LevyModel.generalized_gamma(alpha), theta / alpha)
-            worst = 0.0
-            for config in _configs_up_to(min(args.n_max, 8)):
-                got = log_eppf(params, config)
-                want = reference.pd_log_eppf(alpha, theta, config.counts)
-                worst = max(worst, abs(got - want))
-            add("pd", f"alpha={alpha} theta={theta}", worst, worst < 1e-6)
-
-
-def _suite_rfree(args, add):
-    alpha = 0.6
-    rs = (0.2, 1.0, 5.0, 25.0)
-    worst_pair = 0.0
-    worst_pd = 0.0
-    for config in _configs_up_to(min(args.n_max, 8)):
-        vals = [log_eppf(ModelParamsR(LevyModel.stable(alpha), r), config) for r in rs]
-        worst_pair = max(worst_pair, max(vals) - min(vals))
-        want = reference.pd_log_eppf(alpha, 0.0, config.counts)
-        worst_pd = max(worst_pd, max(abs(v - want) for v in vals))
-    add("rfree", "r-pairs", worst_pair, worst_pair < 1e-8)
-    add("rfree", "pd(alpha,0)", worst_pd, worst_pd < 1e-6)
-
-
-def _suite_predsum(args, add):
-    cases = [
+# Each suite runs one acceptance check on a grid read from the flags.
+_SUITES = {
+    "derivatives": lambda a: checks.derivative_identities(_default_models(a), min(a.n_max, 10)),
+    "pd": lambda a: checks.pd_eppf(((0.3, 1.0), (0.3, 2.0), (0.7, 1.0), (0.7, 2.0)),
+                                   checks.configs_up_to(min(a.n_max, 8))),
+    "rfree": lambda a: checks.r_independence(checks.configs_up_to(min(a.n_max, 8))),
+    "predsum": lambda a: checks.prediction_sum([
         (ModelParamsR(LevyModel.stable(0.3), 1.7), Configuration((4, 2, 1))),
         (ModelParamsR(LevyModel.gamma(2.5), 0.8), Configuration((5,))),
         (ModelParamsR(LevyModel.truncated_stable(0.6), 3.0), Configuration((2, 2, 1, 1))),
         (ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0), Configuration((3, 1))),
-    ]
-    for params, config in cases:
-        res = check_prediction_sum(params, config)
-        add("predsum", f"{params.model.describe()} {config}", res, res < 1e-6)
-
-
-def _suite_partnorm(args, add):
-    for params in _default_models(args):
-        worst = 0.0
-        for n in range(1, min(args.n_max, 7) + 1):
-            worst = max(worst, check_partition_normalization(params, n))
-        add("partnorm", params.model.describe(), worst, worst < 1e-6)
-
-
-def _suite_predict(args, add):
-    for alpha, theta in ((0.3, 1.0), (0.5, 1.0), (0.7, 2.0)):
-        params = ModelParamsR(LevyModel.generalized_gamma(alpha), theta / alpha)
-        worst = 0.0
-        for config in _configs_up_to(min(args.n_max, 5)):
-            got = normalized_predictive(params, config)
-            want = reference.pd_predictive(alpha, theta, config.counts)
-            worst = max(worst, np.abs(got - want).max())
-        add("predict", f"alpha={alpha} theta={theta}", worst, worst < 1e-6)
-
-
-def _suite_coalescent(args, add):
-    # Each block's term (n_i/n) p(n) against the reduced configuration's route:
-    # (n_i/n) p(n - e_i) times its predictive probability of rebuilding n.
-    for params in _default_models(args):
-        worst = 0.0
-        for config in _configs_up_to(min(args.n_max, 5)):
-            if config.n < 2:
-                continue
-            terms, _ = backward_event_probabilities(params, config)
-            for i, ni in enumerate(config.counts):
-                reduced = config.remove_one(i)
-                w = predictive_weights(params, reduced)
-                j = i + 1 if ni > 1 else 0  # rebuilding n joins block i or opens one
-                want = ni / config.n * math.exp(w.log_eppf) * w.normalized(reduced)[j]
-                worst = max(worst, abs(terms[i] - want) / want)
-        add("coalescent", f"terms={params.model.describe()}", worst, worst < 1e-5)
-    params = ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0)
-    config = Configuration((3, 1))
-    r0 = ratio_integrals(params, config, 0)
-    r1 = ratio_integrals(params, config, 1)
-    add("coalescent", "pd-ratio-coalesce", abs(r0 - 0.28125), abs(r0 - 0.28125) < 1e-6)
-    add("coalescent", "pd-ratio-singleton", abs(r1 - 0.09375), abs(r1 - 0.09375) < 1e-6)
-
-
-def _suite_hsolver(args, add):
-    phi = RateFunction(RateKind.TOTAL_N)
-    vals = h_solver_exact(Configuration((3, 2, 1)), phi, h0=lambda c: 1.0,
-                          t_grid=[0.0, 0.5, 1.0, 2.0])
-    dev = float(np.abs(vals - 1.0).max())
-    add("hsolver", "constant-preservation", dev, dev < 1e-9)
-
-
-def _suite_vmoments(args, add):
-    rng = np.random.default_rng(args.seed)
-    # The auxiliary-variable moment E[V^m] is finite only when the psi tail
-    # grows fast enough (alpha * r > m for the power-tail models; never for
-    # the logarithmic gamma family).  The V tail index is alpha * r, so keep
-    # it well above 4 for a stable standard error on the second moment.
-    params = ModelParamsR(LevyModel.generalized_gamma(0.7), 10.0)
-    config = Configuration((2, 1))
-    lz = log_eppf(params, config)
-    lm1 = log_v_moment(params, config, 1.0)
-    lm2 = log_v_moment(params, config, 2.0)
-    mean = math.exp(lm1 - lz)
-    second = math.exp(lm2 - lz)
-    draws = np.array([sample_v(params, config, rng) for _ in range(args.reps)])
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    z1 = abs(draws.mean() - mean) / se
-    se2 = (draws ** 2).std(ddof=1) / math.sqrt(len(draws))
-    z2 = abs((draws ** 2).mean() - second) / se2
-    add("vmoments", "mean", z1, z1 < 3.0)
-    add("vmoments", "second-moment", z2, z2 < 3.0)
-
-
-def _suite_gibbs(args, add):
-    from scipy.stats import chisquare
-    n = min(args.n_max, 4)
-    for params in _default_models(args):
-        classes = enumerate_afs(n)
-        probs = np.array([
-            math.exp(log_partition_coefficient(m)
-                     + log_eppf(params, m.to_configuration()))
-            for m in classes])
-        probs /= probs.sum()
-        index = {m.m: j for j, m in enumerate(classes)}
-        counts = np.zeros(len(classes))
-        for j in range(args.reps):
-            rec = run_chain(params, n, args.seed + j)
-            counts[index[rec.afs.m]] += 1
-        stat, pval = chisquare(counts, probs * args.reps)
-        add("gibbs", params.model.describe(), pval, pval > 0.001)
-
-
-_SUITE_FUNCS = {
-    "derivatives": _suite_derivatives,
-    "pd": _suite_pd,
-    "rfree": _suite_rfree,
-    "predsum": _suite_predsum,
-    "partnorm": _suite_partnorm,
-    "predict": _suite_predict,
-    "coalescent": _suite_coalescent,
-    "hsolver": _suite_hsolver,
-    "vmoments": _suite_vmoments,
-    "gibbs": _suite_gibbs,
+    ]),
+    "partnorm": lambda a: checks.partition_normalization(_default_models(a), min(a.n_max, 7)),
+    "predict": lambda a: checks.pd_predictive(((0.3, 1.0), (0.5, 1.0), (0.7, 2.0)),
+                                              checks.configs_up_to(min(a.n_max, 5))),
+    "coalescent": lambda a: checks.backward_recursion(
+        _default_models(a), checks.configs_up_to(min(a.n_max, 5), n_min=2)),
+    "hsolver": lambda a: checks.h_solver(Configuration((3, 2, 1)), (0.0, 0.5, 1.0, 2.0),
+                                         a.reps, a.seed),
+    "vmoments": lambda a: checks.v_moments([Configuration((2, 1))], a.reps,
+                                           np.random.default_rng(a.seed)),
+    "gibbs": lambda a: checks.urn_exactness(_default_models(a), min(a.n_max, 4), a.reps, a.seed),
 }
 
 
 def _cmd_validate(args) -> int:
-    suites = args.suite or list(_SUITES)
+    if args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
     rows = []
     all_ok = True
-
-    def add(suite, label, value, ok):
-        nonlocal all_ok
-        all_ok = all_ok and ok
-        rows.append([suite, label, f"{value:.3g}", "PASS" if ok else "FAIL"])
-
-    for name in suites:
+    for name in args.suite or _SUITES:
         start = time.perf_counter()
-        _SUITE_FUNCS[name](args, add)
+        for label, value, ok in _SUITES[name](args):
+            all_ok = all_ok and ok
+            rows.append([name, label, f"{value:.3g}", "PASS" if ok else "FAIL"])
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     hits, misses, _, size = _mesh_features.cache_info()
     print(f"mesh feature cache: {hits} hits, {misses} misses, {size} matrices", file=sys.stderr)

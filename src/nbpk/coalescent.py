@@ -109,9 +109,8 @@ def transition_rates(config: Configuration, phi: RateFunction) -> np.ndarray:
     """Rates of n -> n - e_i: phi(n) * n_i / n for every block; they sum to phi(n)."""
     if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
-    total = phi(config)
-    counts = np.array(config.counts, float)
-    return total * counts / config.n
+    # n_i/n first: phi(n) * n_i alone may overflow where the rate does not.
+    return phi(config) * (np.array(config.counts, float) / config.n)
 
 
 def simulate_backward(config: Configuration, phi: RateFunction, seed: int) -> CoalescentHistory:
@@ -207,7 +206,7 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
         total = phi(c)
         gen[row, row] = -total
         for ni, nxt in _decrements(s):
-            gen[row, index[nxt]] += total * ni / c.n
+            gen[row, index[nxt]] += total * (ni / c.n)
 
     y0 = np.array([h0(c) for c in configs], float)
     # H(t) = exp(t G) h0 for the generator G, all times in one stack.

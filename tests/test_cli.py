@@ -1,11 +1,12 @@
 """Command-line entry point, driven through main(argv)."""
 
 import json
+import math
 import re
 
 import pytest
 
-from nbpk.cli import main
+from nbpk.cli import _SUITES, main
 from nbpk.coalescent import RateFunction
 from nbpk.numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME
 
@@ -82,6 +83,15 @@ def test_validate_times_each_suite_on_stderr(capsys):
     assert outs[1] == outs[0]
 
 
+@pytest.mark.parametrize("suite", list(_SUITES))
+def test_validate_runs_every_suite(suite, capsys):
+    # The sampling suites need not pass at 200 replications; each row must be printed.
+    main(["validate", "--suite", suite, "--n-max", "3", "--reps", "200"])
+    rows = [l.split() for l in capsys.readouterr().out.splitlines()[1:]]
+    assert rows and all(r[0] == suite for r in rows)
+    assert all(math.isfinite(float(r[-2])) and r[-1] in ("PASS", "FAIL") for r in rows)
+
+
 def test_coalescent_solve_h(capsys):
     rc = main(["coalescent", "--counts", "2", "--solve-h", "--t-grid", "0,1", "--csv"])
     assert rc == 0
@@ -137,6 +147,8 @@ def test_show_config(capsys):
     ["eppf", "--model", "stable", "--alpha", "0.5", "--counts", "1"],
     ["eppf", *PD_ARGS],
     ["coalescent", "--phi", "n"],
+    # An empty grid would pass every check vacuously.
+    ["validate", "--suite", "pd", "--n-max", "0"],
 ])
 def test_rejected_input_exits_2_without_traceback(argv, capsys):
     assert main(argv) == 2

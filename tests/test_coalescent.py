@@ -252,6 +252,22 @@ def test_rate_must_be_finite():
         h_solver_exact(Configuration((2, 1)), phi)
 
 
+def test_rates_near_the_float_limit_split_without_overflow():
+    # phi(n) * n_i leaves float range at phi = 1e308; phi(n) * (n_i / n) does not.
+    phi = RateFunction(RateKind.CUSTOM, custom=lambda c: 1e308)
+    start = Configuration((2, 1))
+    rates = transition_rates(start, phi)
+    assert np.isfinite(rates).all() and rates.sum() == pytest.approx(1e308)
+    hist = simulate_backward(start, phi, seed=3)
+    assert [ev.config_after.n for ev in hist.events] == [2, 1]
+    assert all(0.0 <= ev.time < 1e-306 for ev in hist.events)
+    # A constant rate only rescales time, and t G is representable at these times.
+    unit = RateFunction(RateKind.CUSTOM, custom=lambda c: 1.0)
+    got = h_solver_exact(start, phi, t_grid=(1e-308, 1e-300))
+    want = h_solver_exact(start, unit, t_grid=(1.0, 1e8))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("rate,t", [(1e308, 1.0), (1e300, 1e10), (1e200, 1e200)])
 def test_h_solver_rejects_t_g_that_overflows(rate, t):
     # Finite rates and times whose product, or the 1-norm of t G, leaves float range.
@@ -315,14 +331,15 @@ def test_h_solver_matches_scipy_expm(monkeypatch):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.special is the only scipy module nbpk needs; scipy.linalg would add
+    # scipy.special is the only scipy module `import nbpk` needs; scipy.linalg would add
     # several MB of resident memory to every process that imports nbpk, and
-    # scipy.integrate (whose Gauss-Kronrod table numerics copies) would slow the import
+    # scipy.integrate (whose Gauss-Kronrod table numerics copies) would slow the import.
+    # nbpk.checks, and the scipy.stats its chi-square check needs, load only on demand.
     import nbpk
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(nbpk.__file__)))
     code = ("import sys, nbpk; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.integrate'))))")
+            "if m.startswith(('scipy.linalg', 'scipy.integrate', 'scipy.stats', 'nbpk.checks'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"

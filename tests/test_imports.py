@@ -1,6 +1,7 @@
-"""Every import in the package modules is used, and imported once."""
+"""Package imports: each used and imported once, and the checks import only public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nbpk"
@@ -29,3 +30,27 @@ def test_no_unused_or_repeated_imports():
     problems = [p for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
                 for p in _import_problems(path)]
     assert not problems, "\n".join(problems)
+
+
+def test_checks_import_only_the_public_api():
+    # The acceptance checks must not reach the internals they are meant to test:
+    # every package name they import is in its module's __all__, or is reference.
+    tree = ast.parse((SRC / "checks.py").read_text())
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            problems += [a.name for a in node.names if a.name.split(".")[0] == "nbpk"]
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module or ""
+        elif node.module.split(".")[0] == "nbpk":
+            module = node.module.partition(".")[2]
+        else:
+            continue  # numpy, scipy
+        if not module:  # from . import x
+            problems += [a.name for a in node.names if a.name != "reference"]
+        elif module != "reference":
+            public = importlib.import_module(f"nbpk.{module}").__all__
+            problems += [f"{module}.{a.name}" for a in node.names if a.name not in public]
+    assert not problems, problems
