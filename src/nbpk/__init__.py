@@ -10,6 +10,7 @@ from .levy_models import (
     LevyModel,
     ModelKind,
     ModelParamsR,
+    log_kernels_lv,
     log_pi_n_lv,
     log_psi_lv,
 )

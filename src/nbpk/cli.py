@@ -9,6 +9,7 @@ prediction weights), ``gibbs`` (stream sampled partitions as JSON lines),
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 import time
@@ -17,8 +18,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import checks
-from .coalescent import (RateFunction, RateKind, h_solver_exact, history_to_json_lines,
-                         simulate_backward)
+from .coalescent import (RateFunction, RateKind, _lattice, h_solver_exact,
+                         history_to_json_lines, simulate_backward)
 from .levy_models import LevyModel, ModelParamsR
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
                        QuadratureError)
@@ -72,10 +73,8 @@ def _configs_from_args(args) -> List[Configuration]:
 def _emit_table(rows, header, csv_mode, out=None):
     if out is None:
         out = sys.stdout
-    if csv_mode:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(str(c) for c in row) + "\n")
+    if csv_mode:  # quoted where a field holds a comma, as a configuration's counts do
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
         return
     cols = [header] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cols) for i in range(len(header))]
@@ -198,6 +197,8 @@ def _cmd_validate(args) -> int:
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     hits, misses, _, size = _mesh_features.cache_info()
     print(f"mesh feature cache: {hits} hits, {misses} misses, {size} matrices", file=sys.stderr)
+    hits, misses, _, size = _lattice.cache_info()
+    print(f"lattice cache: {hits} hits, {misses} misses, {size} lattices", file=sys.stderr)
     _emit_table(rows, ["suite", "check", "value", "status"], args.csv)
     return 0 if all_ok else 1
 

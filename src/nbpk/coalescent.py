@@ -14,6 +14,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,18 +137,29 @@ def _decrements(state: Tuple[int, ...]):
         yield ni, tuple(sorted(state[:i] + (ni - 1,) * (ni > 1) + state[i + 1:], reverse=True))
 
 
-def _reachable_states(start: Configuration) -> List[Tuple[int, ...]]:
-    """All block-size multisets reachable by repeated single decrements."""
-    seen = set()
-    frontier = [start.sorted_counts()]
+@lru_cache(maxsize=128)  # an entry holds at most 271 states (every class with n <= 12)
+def _lattice(start: Tuple[int, ...]):
+    """The backward lattice of a start class (its sorted counts), enumerated once.
+
+    Returns the reachable states as ``Configuration``s ordered by (n, sorted
+    counts), so (1,) comes first and every later state has events; the start's
+    index; and, for each (state n, block i) in that order, the indices of n and
+    of n - e_i and the weight n_i/n.
+    """
+    seen, frontier = {start}, [start]
     while frontier:
         state = frontier.pop()
-        if state in seen:
-            continue
-        seen.add(state)
         if sum(state) > 1:
-            frontier.extend(nxt for _, nxt in _decrements(state) if nxt not in seen)
-    return sorted(seen, key=lambda s: (sum(s), s))
+            new = {nxt for _, nxt in _decrements(state)} - seen
+            seen |= new
+            frontier.extend(new)
+    states = sorted(seen, key=lambda s: (sum(s), s))
+    index = {s: i for i, s in enumerate(states)}
+    pattern = [(row, index[nxt], ni / sum(s))
+               for row, s in enumerate(states[1:], start=1) for ni, nxt in _decrements(s)]
+    rows, cols, weights = np.array(pattern, float).reshape(-1, 3).T
+    configs = tuple(map(Configuration, states))
+    return configs, index[start], rows.astype(int), cols.astype(int), weights
 
 
 # The Taylor coefficients 1/j!, j = 0..18, and a zero: row k weighs I, A, A^2, A^3 in (A^4)^k.
@@ -196,25 +208,19 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
         raise ValueError("times must be a one-dimensional sequence, finite and nonnegative")
 
-    states = _reachable_states(config)
-    index = {s: i for i, s in enumerate(states)}
-    configs = [Configuration(s) for s in states]
-    gen = np.zeros((len(states), len(states)))
-    for row, (s, c) in enumerate(zip(states, configs)):
-        if c.n == 1:
-            continue
-        total = phi(c)
-        gen[row, row] = -total
-        for ni, nxt in _decrements(s):
-            gen[row, index[nxt]] += total * (ni / c.n)
-
+    configs, start, rows, cols, weights = _lattice(config.sorted_counts())
+    rate = np.array([0.0] + [phi(c) for c in configs[1:]])  # no event leaves (1,)
+    gen = np.zeros((rate.size, rate.size))
+    live = np.arange(1, rate.size)
+    gen[live, live] = -rate[1:]
+    np.add.at(gen, (rows, cols), rate[rows] * weights)  # phi(n) * (n_i/n): no overflow
     y0 = np.array([h0(c) for c in configs], float)
     # H(t) = exp(t G) h0 for the generator G, all times in one stack.
     with np.errstate(over="ignore"):  # _expm scales t G by twice its 1-norm: finite too
         tg = t_grid[:, None, None] * gen
         if not np.isfinite(2.0 * np.abs(tg).sum(axis=-2)).all():
             raise ValueError("t G leaves float range: a rate or a time is too large")
-    return _expm(tg)[:, index[config.sorted_counts()]] @ y0
+    return _expm(tg)[:, start] @ y0
 
 
 def ratio_integrals(params: ModelParamsR, config: Configuration, i: int) -> float:

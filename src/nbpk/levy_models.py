@@ -3,7 +3,8 @@
 Four intensities are supported.  For each model the package needs two
 functionals of the intensity rho: ``psi(v) = 1 + int (1 - e^{-vx}) rho(x) dx``
 and the tilted moments ``pi_n(v) = int x^n rho(x) e^{-vx} dx``, both evaluated
-in closed form and only from log v (:func:`log_psi_lv`, :func:`log_pi_n_lv`).
+in closed form and only from log v, for a tuple of block sizes at once
+(:func:`log_kernels_lv`; :func:`log_psi_lv` and :func:`log_pi_n_lv` read one row).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "ModelKind",
     "LevyModel",
     "ModelParamsR",
+    "log_kernels_lv",
     "log_psi_lv",
     "log_pi_n_lv",
 ]
@@ -91,66 +93,80 @@ class ModelParamsR:
 # Incomplete gamma kernel
 # ---------------------------------------------------------------------------
 
-def _log_lower_gamma_lv(s: float, lv):
-    """log gamma(s, e^lv), vectorised over lv; v = e^lv may underflow or overflow.
+def _log_lower_gamma_lv(s, lv):
+    """log gamma(s, e^lv) for a shape s (a float or a column) and lv (a float or 1-d).
 
-    Below x = s + 1 it uses gamma(s, x) = x^s e^{-x} M(1, s + 1, x) / s with
-    Kummer's function M; above, Gamma(s) (1 - Q(s, x)) with the regularised
-    upper function Q, where x = inf gives Gamma(s).
+    v = e^lv may underflow or overflow.  Below x = s + 1 it uses
+    gamma(s, x) = x^s e^{-x} M(1, s + 1, x) / s with Kummer's function M;
+    above, Gamma(s) (1 - Q(s, x)) with the regularised upper function Q, where
+    x = inf gives Gamma(s).  log s and log Gamma(s) come from ``math`` per
+    shape, so a column of shapes gives each row the bits of its own call.
     """
-    lv = np.asarray(lv, float)
+    lv, s = np.asarray(lv, float), np.asarray(s, float)
+    shape = np.broadcast(s, lv).shape
+    s, lv = s.reshape(-1, 1), lv.reshape(1, -1)  # one row per shape, one column per point
     with np.errstate(over="ignore"):
         x = np.exp(lv)
-    out = np.empty(lv.shape)
     series = x < s + 1.0
-    xs = x[series]
-    out[series] = s * lv[series] - xs - math.log(s) + np.log(hyp1f1(1.0, s + 1.0, xs))
-    out[~series] = math.lgamma(s) + np.log1p(-gammaincc(s, x[~series]))
-    return out
+    (si, sj), (ti, tj) = series.nonzero(), (~series).nonzero()  # in the masks' order
+    s, lv, x = s.ravel(), lv.ravel(), x.ravel()
+    log_s, lgamma_s = (np.array([f(c) for c in s]) for f in (math.log, math.lgamma))
+    out = np.empty(series.shape)
+    ss, xs = s[si], x[sj]
+    out[series] = ss * lv[sj] - xs - log_s[si] + np.log(hyp1f1(1.0, ss + 1.0, xs))
+    out[~series] = lgamma_s[ti] + np.log1p(-gammaincc(s[ti], x[tj]))
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # psi and pi_n
 # ---------------------------------------------------------------------------
 
-def log_psi_lv(model: LevyModel, lv):
-    """log psi(v) at v = exp(lv), stable for lv far beyond float overflow of v.
+def log_kernels_lv(model: LevyModel, sizes, lv) -> np.ndarray:
+    """Rows [log psi, log pi_m for each m >= 1 in sizes] at v = exp(lv), shape (1 + S,) + lv.shape.
 
-    psi(0) = 1 and psi increases with v.
-
-    Posterior integrands of the Gamma family carry mass at astronomically
-    large v (the tail decays only like a power of log v), so the auxiliary
-    integrals must be evaluated from log v directly.
+    The one implementation of both functionals, from log v: Gamma-family
+    integrands carry mass where v overflows a float.  log pi_m is
+    c_m + b_m f(lv), f = lv or softplus(lv), plus log gamma(m - alpha, v) for
+    the truncated stable, whose incomplete gammas (psi's too) come from one
+    pass over every shape.  Each row has the bits a one-size call gives it.
     """
-    scalar = np.ndim(lv) == 0
-    lv = np.atleast_1d(np.asarray(lv, float))
-    a, th = model.alpha, model.theta
-    if model.kind is ModelKind.STABLE:
-        out = np.logaddexp(0.0, a * lv)
-    elif model.kind is ModelKind.GAMMA:
-        out = np.log1p(th * np.logaddexp(0.0, lv))
-    elif model.kind is ModelKind.GENERALIZED_GAMMA:
-        out = a * np.logaddexp(0.0, lv)
-    else:  # truncated stable: integration by parts of the defining integral over (0, 1]
+    if any(m < 1 for m in sizes):
+        raise ValueError(f"block sizes must be >= 1, got {sizes}")
+    lv = np.asarray(lv, float)
+    a, th, kind = model.alpha, model.theta, model.kind
+    if kind is ModelKind.GAMMA:
+        coef = [(math.log(th) + math.lgamma(m), -m) for m in sizes]
+    elif kind is ModelKind.TRUNCATED_STABLE:
+        coef = [(math.log(a), a - m) for m in sizes]
+    else:
+        coef = [(math.log(a) + math.lgamma(m - a) - math.lgamma(1.0 - a), a - m) for m in sizes]
+    coef = np.array(coef, float).reshape((len(sizes), 2) + (1,) * lv.ndim)
+    f = lv if kind in (ModelKind.STABLE, ModelKind.TRUNCATED_STABLE) else np.logaddexp(0.0, lv)
+    out = np.empty((1 + len(sizes),) + lv.shape)
+    np.add(coef[:, 0], coef[:, 1] * f, out=out[1:])
+    if kind is ModelKind.STABLE:
+        out[0] = np.logaddexp(0.0, a * lv)
+    elif kind is ModelKind.GAMMA:
+        out[0] = np.log1p(th * f)
+    elif kind is ModelKind.GENERALIZED_GAMMA:
+        out[0] = a * f
+    else:  # psi by integration by parts of its defining integral over (0, 1]
+        shapes = np.array([1.0 - a] + [m - a for m in sizes]).reshape((-1,) + (1,) * lv.ndim)
+        log_gammas = _log_lower_gamma_lv(shapes, lv)
         with np.errstate(over="ignore"):
-            out = np.logaddexp(-np.exp(lv), a * lv + _log_lower_gamma_lv(1.0 - a, lv))
-    return float(out[0]) if scalar else out
+            out[0] = np.logaddexp(-np.exp(lv), a * lv + log_gammas[0])
+        out[1:] += log_gammas[1:]
+    return out
+
+
+def log_psi_lv(model: LevyModel, lv):
+    """log psi(v) at v = exp(lv), scalar or array: row 0 of ``log_kernels_lv``."""
+    out = log_kernels_lv(model, (), np.atleast_1d(np.asarray(lv, float)))[0]
+    return float(out[0]) if np.ndim(lv) == 0 else out
 
 
 def log_pi_n_lv(model: LevyModel, n: int, lv):
-    """log pi_n(v) = log int x^n rho(x) e^{-vx} dx at v = exp(lv), for n >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    scalar = np.ndim(lv) == 0
-    lv = np.atleast_1d(np.asarray(lv, float))
-    a, th = model.alpha, model.theta
-    if model.kind is ModelKind.STABLE:
-        out = math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a) + (a - n) * lv
-    elif model.kind is ModelKind.GAMMA:
-        out = math.log(th) + math.lgamma(n) - n * np.logaddexp(0.0, lv)
-    elif model.kind is ModelKind.GENERALIZED_GAMMA:
-        out = (math.log(a) + math.lgamma(n - a) - math.lgamma(1.0 - a)
-               + (a - n) * np.logaddexp(0.0, lv))
-    else:  # truncated stable
-        out = math.log(a) + (a - n) * lv + _log_lower_gamma_lv(n - a, lv)
-    return float(out[0]) if scalar else out
+    """log pi_n(v) at v = exp(lv) for n >= 1, scalar or array: row 1 of ``log_kernels_lv``."""
+    out = log_kernels_lv(model, (n,), np.atleast_1d(np.asarray(lv, float)))[1]
+    return float(out[0]) if np.ndim(lv) == 0 else out

@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import gammainc, gammaincinv
 
-from .levy_models import ModelKind, ModelParamsR, log_pi_n_lv, log_psi_lv
+from .levy_models import ModelKind, ModelParamsR, log_kernels_lv
 from .numerics import _MESH_LV, log_integrate_halfline_logv
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 
@@ -89,21 +89,22 @@ def _log_g_r_rows(params: ModelParamsR, configs):
 
     def log_g(lv):
         if lv is _MESH_LV:
-            return const + coef @ _mesh_features(log_psi_lv, log_pi_n_lv, model, sizes)
-        return const + coef @ _features(log_psi_lv, log_pi_n_lv, model, sizes, lv)
+            return const + coef @ _mesh_features(log_kernels_lv, model, sizes)
+        return const + coef @ _features(log_kernels_lv, model, sizes, lv)
 
     return log_g
 
 
-def _features(log_psi, log_pi_n, model, sizes, lv) -> np.ndarray:
-    """The stacked features [log psi, lv, log pi_m for each block size m] at lv."""
-    return np.stack([log_psi(model, lv), lv] + [log_pi_n(model, m, lv) for m in sizes])
+def _features(log_kernels, model, sizes, lv) -> np.ndarray:
+    """The stacked features [log psi, lv, log pi_m for each block size m] at lv: one kernel call."""
+    kernels = log_kernels(model, sizes, lv)
+    return np.concatenate([kernels[:1], lv[None], kernels[1:]])
 
 
 @lru_cache(maxsize=256)
-def _mesh_features(log_psi, log_pi_n, model, sizes) -> np.ndarray:
-    """``_features`` on the mesh; the kernels are in the key, so a patched one has its own."""
-    features = _features(log_psi, log_pi_n, model, sizes, _MESH_LV)
+def _mesh_features(log_kernels, model, sizes) -> np.ndarray:
+    """``_features`` on the mesh; the kernel is in the key, so a patched one has its own."""
+    features = _features(log_kernels, model, sizes, _MESH_LV)
     features.flags.writeable = False  # every caller shares it
     return features
 

@@ -1,5 +1,7 @@
 """Command-line entry point, driven through main(argv)."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -28,6 +30,18 @@ def test_predict_probabilities(capsys):
     assert lines[0] == "counts,target,raw_weight,probability"
     probs = [float(l.split(",")[-1]) for l in lines[1:]]
     assert probs == pytest.approx([0.4, 0.5, 0.1], abs=1e-6)
+
+
+@pytest.mark.parametrize("argv,first_field", [
+    (["eppf", *PD_ARGS, "--counts", "3,1", "--csv"], (0, "3,1")),
+    (["validate", "--suite", "vmoments", "--reps", "200", "--csv"], (1, "2,1 mean")),
+], ids=["eppf", "validate"])
+def test_csv_quotes_fields_that_hold_commas(argv, first_field, capsys):
+    main(argv)  # the sampling suite need not pass at 200 replications
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    column, want = first_field
+    assert rows[1][column] == want
 
 
 def test_gibbs_stream(capsys):
@@ -72,7 +86,8 @@ def test_validate_times_each_suite_on_stderr(capsys):
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n"
-                            r"mesh feature cache: \d+ hits, \d+ misses, \d+ matrices\n",
+                            r"mesh feature cache: \d+ hits, \d+ misses, \d+ matrices\n"
+                            r"lattice cache: \d+ hits, \d+ misses, \d+ lattices\n",
                             captured.err)
         outs.append(captured.out)
     # The table alone goes to stdout, unchanged by the timings.

@@ -290,6 +290,31 @@ def test_h_solver_batched_times_equal_single_time_solves(t_grid):
             assert np.abs(got - want).max() < 1e-14
 
 
+def test_h_solver_calls_phi_once_per_state_with_an_event_and_never_at_one_lineage():
+    # The lattice of a start class is compiled once; every solve, the first and the
+    # cached ones, still calls phi at each state with n >= 2, in the lattice's order.
+    calls = []
+
+    def rate(c):
+        if c.n < 2:
+            raise AssertionError(f"phi called at the single-lineage state {c}")
+        calls.append(c.sorted_counts())
+        return float(c.n)
+
+    phi = RateFunction(RateKind.CUSTOM, custom=rate)
+    per_solve, results = [], []
+    for counts in [(2, 4, 1, 2), (4, 2, 2, 1), (1, 2, 2, 4)]:
+        calls.clear()
+        results.append(h_solver_exact(Configuration(counts), phi, t_grid=(0.5, 2.0)).tobytes())
+        per_solve.append(list(calls))
+    assert per_solve[0] == per_solve[1] == per_solve[2]
+    assert per_solve[0] == sorted(set(per_solve[0]), key=lambda s: (sum(s), s))
+    assert per_solve[0][:2] == [(1, 1), (2,)] and per_solve[0][-1] == (4, 2, 2, 1)
+    want = h_solver_exact(Configuration((4, 2, 2, 1)), RateFunction(RateKind.TOTAL_N),
+                          t_grid=(0.5, 2.0)).tobytes()
+    assert results == [want] * 3
+
+
 def test_history_json_lines():
     phi = RateFunction(RateKind.TOTAL_N)
     hist = simulate_backward(Configuration((2, 1)), phi, seed=5)

@@ -13,9 +13,11 @@ from nbpk.levy_models import (
     LevyModel,
     ModelParamsR,
     _log_lower_gamma_lv,
+    log_kernels_lv,
     log_pi_n_lv,
     log_psi_lv,
 )
+from nbpk.numerics import _MESH_LV
 
 V_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -146,14 +148,39 @@ def test_truncated_stable_pi_n_where_v_underflows():
 
 def test_log_lower_gamma_kernel_against_mpmath():
     lvs = np.concatenate([np.linspace(-800.0, 800.0, 81), np.linspace(-3.0, 7.5, 43)])
-    for n in (1, 2, 7, 50, 500, 1000):
-        s = n - 0.5
+    shapes = [n - 0.5 for n in (1, 2, 7, 50, 500, 1000)]
+    wants, gots = [], []
+    for s in shapes:
         want = np.array([_mp_log_lower_gamma(s, lv) for lv in lvs])
         got = _log_lower_gamma_lv(s, lvs)
         assert got.shape == lvs.shape
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"s = {s}")
         for lv, w in zip(lvs[::9], want[::9]):
             assert float(_log_lower_gamma_lv(s, np.float64(lv))) == pytest.approx(w, rel=1e-13)
+        wants.append(want)
+        gots.append(got)
+    # Every shape at once, as one (6, 1) column: the same bits as one shape at a time.
+    column = _log_lower_gamma_lv(np.array(shapes)[:, None], lvs)
+    assert column.shape == (len(shapes), lvs.size)
+    np.testing.assert_allclose(column, np.array(wants), rtol=1e-13, atol=0)
+    assert column.tobytes() == np.array(gots).tobytes()
+
+
+@pytest.mark.parametrize("model", [LevyModel.stable(0.4), LevyModel.gamma(1.5),
+                                   LevyModel.generalized_gamma(0.6),
+                                   LevyModel.truncated_stable(0.5)], ids=LevyModel.describe)
+@pytest.mark.parametrize("lv", [np.linspace(-800.0, 800.0, 3001), np.array([0.3]), _MESH_LV],
+                         ids=["wide", "one-point", "mesh"])
+def test_kernel_rows_equal_the_one_size_kernels_bitwise(model, lv):
+    sizes = (1, 2, 3, 7, 50, 500)
+    rows = log_kernels_lv(model, sizes, lv)
+    assert rows.shape == (1 + len(sizes), lv.size)
+    assert rows[0].tobytes() == log_psi_lv(model, lv).tobytes()
+    for m, row in zip(sizes, rows[1:]):
+        assert row.tobytes() == log_pi_n_lv(model, m, lv).tobytes(), m
+    # psi's row does not depend on the sizes asked for, nor a size's row on the others.
+    assert log_kernels_lv(model, (), lv).tobytes() == rows[0].tobytes()
+    assert log_kernels_lv(model, sizes[::-1], lv)[1:].tobytes() == rows[:0:-1].tobytes()
 
 
 def test_parameter_validation():

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import gammainc
 
 from nbpk import numerics, posterior, reference
-from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n_lv
+from nbpk.levy_models import LevyModel, ModelParamsR, log_kernels_lv, log_pi_n_lv
 from nbpk.numerics import _MESH_LV, _MESH_T, LogDensityGridSampler, log_integrate_halfline_logv
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
@@ -345,18 +345,14 @@ def test_mesh_path_matches_the_general_path_bitwise(params, monkeypatch):
 def test_mesh_kernels_are_evaluated_once_per_model_and_block_size(model, monkeypatch):
     on_mesh = []
 
-    def counting(kernel, key):
+    def counting(model, sizes, lv):
         # Compare values, not identity: a copy of the mesh must count too.
-        def wrapped(model, *args):
-            if np.shape(args[-1]) == _MESH_LV.shape and np.array_equal(args[-1], _MESH_LV):
-                on_mesh.append(key(*args))
-            return kernel(model, *args)
-        return wrapped
+        if np.shape(lv) == _MESH_LV.shape and np.array_equal(lv, _MESH_LV):
+            on_mesh.append(frozenset(sizes))
+        return log_kernels_lv(model, sizes, lv)
 
-    # New kernel functions are new cache keys, so the count starts from an empty cache.
-    monkeypatch.setattr(posterior, "log_psi_lv", counting(posterior.log_psi_lv, lambda lv: 0))
-    monkeypatch.setattr(posterior, "log_pi_n_lv",
-                        counting(posterior.log_pi_n_lv, lambda m, lv: m))
+    # A new kernel function is a new cache key, so the count starts from an empty cache.
+    monkeypatch.setattr(posterior, "log_kernels_lv", counting)
     rng = np.random.default_rng(3)
     configs = [m.to_configuration() for n in range(1, 7) for m in enumerate_afs(n)]
     for r in (0.7, 2.0):  # the cache is shared across r
@@ -368,11 +364,10 @@ def test_mesh_kernels_are_evaluated_once_per_model_and_block_size(model, monkeyp
         sample_v(params, Configuration((4, 2)), rng)
         log_v_moment(params, Configuration((3, 3)), 1.0)
     # The features are stacked per set of block sizes: a row's own sizes, and the
-    # prediction stack's sizes with 1 and each size plus one.  psi (key 0) is
-    # evaluated once per set, pi_m once per set that holds m.
+    # prediction stack's sizes with 1 and each size plus one.  One kernel call
+    # gives psi and every pi_m of a set, once per set.
     size_sets = {frozenset((4, 2)), frozenset((3,))}
     for config in configs:
         size_sets.add(frozenset(config.counts))
         size_sets.add(frozenset(config.counts) | {1} | {s + 1 for s in config.counts})
-    want = [0] * len(size_sets) + [m for sizes in size_sets for m in sizes]
-    assert sorted(on_mesh) == sorted(want)
+    assert sorted(on_mesh, key=sorted) == sorted(size_sets, key=sorted)
