@@ -25,7 +25,7 @@ from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _R
                        QuadratureError)
 from .partitions import Configuration
 from .posterior import _mesh_features, log_eppf, predictive_weights
-from .sampler import run_chain
+from .sampler import _urn, run_chain
 
 DEFAULT_SEED = 1729
 
@@ -195,10 +195,10 @@ def _cmd_validate(args) -> int:
             all_ok = all_ok and ok
             rows.append([name, label, f"{value:.3g}", "PASS" if ok else "FAIL"])
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
-    hits, misses, _, size = _mesh_features.cache_info()
-    print(f"mesh feature cache: {hits} hits, {misses} misses, {size} matrices", file=sys.stderr)
-    hits, misses, _, size = _lattice.cache_info()
-    print(f"lattice cache: {hits} hits, {misses} misses, {size} lattices", file=sys.stderr)
+    for name, cache, unit in (("mesh feature", _mesh_features, "matrices"),
+                              ("urn class", _urn, "classes"), ("lattice", _lattice, "lattices")):
+        hits, misses, _, size = cache.cache_info()
+        print(f"{name} cache: {hits} hits, {misses} misses, {size} {unit}", file=sys.stderr)
     _emit_table(rows, ["suite", "check", "value", "status"], args.csv)
     return 0 if all_ok else 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -122,41 +123,49 @@ def _log_lower_gamma_lv(s, lv):
 # psi and pi_n
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
+def _pi_coefficients(model: LevyModel, sizes) -> dict:
+    """{m: (c_m, b_m)} for the sizes m: log pi_m = c_m + b_m f(lv), plus log gamma(m - alpha, v)
+    for the truncated stable.  b_m = alpha - m (alpha = 0 for gamma).  Shared: read only."""
+    a, th, kind = model.alpha, model.theta, model.kind
+    if kind is ModelKind.GAMMA:
+        return {m: (math.log(th) + math.lgamma(m), -m) for m in sizes}
+    if kind is ModelKind.TRUNCATED_STABLE:
+        return {m: (math.log(a), a - m) for m in sizes}
+    return {m: (math.log(a) + math.lgamma(m - a) - math.lgamma(1.0 - a), a - m) for m in sizes}
+
+
+def _kernel_features(model: LevyModel, sizes, lv) -> np.ndarray:
+    """[log psi, f] at v = exp(lv), f = lv (stable, truncstable) or softplus(lv), then for the
+    truncated stable only log gamma(m - alpha, v) per m in sizes, psi's shape in the same pass."""
+    lv = np.asarray(lv, float)
+    a, th, kind = model.alpha, model.theta, model.kind
+    f = lv if kind in (ModelKind.STABLE, ModelKind.TRUNCATED_STABLE) else np.logaddexp(0.0, lv)
+    if kind is not ModelKind.TRUNCATED_STABLE:
+        return np.stack([np.logaddexp(0.0, a * lv) if kind is ModelKind.STABLE
+                         else np.log1p(th * f) if kind is ModelKind.GAMMA else a * f, f])
+    # psi by integration by parts of its defining integral over (0, 1]
+    shapes = np.array([1.0 - a] + [m - a for m in sizes]).reshape((-1,) + (1,) * lv.ndim)
+    log_gammas = _log_lower_gamma_lv(shapes, lv)
+    with np.errstate(over="ignore"):
+        log_psi = np.logaddexp(-np.exp(lv), a * lv + log_gammas[0])
+    return np.concatenate([log_psi[None], f[None], log_gammas[1:]])
+
+
 def log_kernels_lv(model: LevyModel, sizes, lv) -> np.ndarray:
     """Rows [log psi, log pi_m for each m >= 1 in sizes] at v = exp(lv), shape (1 + S,) + lv.shape.
 
-    The one implementation of both functionals, from log v: Gamma-family
-    integrands carry mass where v overflows a float.  log pi_m is
-    c_m + b_m f(lv), f = lv or softplus(lv), plus log gamma(m - alpha, v) for
-    the truncated stable, whose incomplete gammas (psi's too) come from one
-    pass over every shape.  Each row has the bits a one-size call gives it.
+    Both functionals from log v (Gamma-family integrands carry mass where v overflows a
+    float), from the two parts the g_r builder reads; each row has a one-size call's bits.
     """
     if any(m < 1 for m in sizes):
         raise ValueError(f"block sizes must be >= 1, got {sizes}")
-    lv = np.asarray(lv, float)
-    a, th, kind = model.alpha, model.theta, model.kind
-    if kind is ModelKind.GAMMA:
-        coef = [(math.log(th) + math.lgamma(m), -m) for m in sizes]
-    elif kind is ModelKind.TRUNCATED_STABLE:
-        coef = [(math.log(a), a - m) for m in sizes]
-    else:
-        coef = [(math.log(a) + math.lgamma(m - a) - math.lgamma(1.0 - a), a - m) for m in sizes]
-    coef = np.array(coef, float).reshape((len(sizes), 2) + (1,) * lv.ndim)
-    f = lv if kind in (ModelKind.STABLE, ModelKind.TRUNCATED_STABLE) else np.logaddexp(0.0, lv)
-    out = np.empty((1 + len(sizes),) + lv.shape)
-    np.add(coef[:, 0], coef[:, 1] * f, out=out[1:])
-    if kind is ModelKind.STABLE:
-        out[0] = np.logaddexp(0.0, a * lv)
-    elif kind is ModelKind.GAMMA:
-        out[0] = np.log1p(th * f)
-    elif kind is ModelKind.GENERALIZED_GAMMA:
-        out[0] = a * f
-    else:  # psi by integration by parts of its defining integral over (0, 1]
-        shapes = np.array([1.0 - a] + [m - a for m in sizes]).reshape((-1,) + (1,) * lv.ndim)
-        log_gammas = _log_lower_gamma_lv(shapes, lv)
-        with np.errstate(over="ignore"):
-            out[0] = np.logaddexp(-np.exp(lv), a * lv + log_gammas[0])
-        out[1:] += log_gammas[1:]
+    features = _kernel_features(model, sizes, lv)
+    pi = _pi_coefficients(model, tuple(sizes))
+    coef = np.reshape([pi[m] for m in sizes], (len(sizes), 2) + (1,) * (features.ndim - 1))
+    out = np.concatenate([features[:1], coef[:, 0] + coef[:, 1] * features[1]])
+    if model.kind is ModelKind.TRUNCATED_STABLE:
+        out[1:] += features[2:]
     return out
 
 

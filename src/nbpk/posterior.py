@@ -2,11 +2,11 @@
 
 Every integral here is an EPPF.  ``_log_g_r_rows`` assembles log g_r(v, c) for
 a stack of configurations c from log v alone, as one coefficient matrix times
-the shared kernels (log psi, log v, log pi_m), and the shift-invariant
-quadrature in :mod:`nbpk.numerics` integrates the stack on one panel set.  The
-prediction weights are EPPFs of the configurations enlarged by one
-observation, and the backward terms (n_i/n) p(n) need only p(n).  The features
-on the quadrature's first-round mesh are stacked once per (model, block sizes).
+the kernel features (log psi, log v, f), and the shift-invariant quadrature in
+:mod:`nbpk.numerics` integrates the stack on one panel set.  The prediction
+weights are EPPFs of the configurations enlarged by one observation, and the
+backward terms (n_i/n) p(n) need only p(n).  The features on the quadrature's
+first-round mesh are stacked once per model (truncstable: per set of block sizes).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import gammainc, gammaincinv
 
-from .levy_models import ModelKind, ModelParamsR, log_kernels_lv
+from .levy_models import ModelKind, ModelParamsR, _kernel_features, _pi_coefficients
 from .numerics import _MESH_LV, log_integrate_halfline_logv
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 
@@ -66,37 +66,42 @@ class PredictiveWeights:
 def _log_g_r_rows(params: ModelParamsR, configs):
     """log g_r(v, c) for every configuration c, stacked: lv of shape (N,) -> (len(configs), N).
 
-    This is the one place g_r is assembled.  Row c is
-    const_c - (r + k_c) log psi + (n_c - 1) lv + sum_m mult_c(m) log pi_m with
-    const_c = log Gamma(r + k_c) - log Gamma(r) - log Gamma(n_c), so all rows
-    are one product of a coefficient matrix, built here once, with the shared
-    features [log psi, lv, log pi_m for each block size m].  Working from
-    lv = log v keeps the Gamma-family tail (where v overflows a float but
-    log v does not) evaluable.  A configuration may be a tuple of block sizes.
+    This is the one place g_r is assembled.  Row c is const_c - (r + k_c) log psi +
+    (n_c - 1) lv + sum_i log pi_{n_i}, const_c = log Gamma(r + k_c) - log Gamma(r) -
+    log Gamma(n_c), where log pi_m = c_m + b_m f(lv) (plus a log gamma(m - alpha, v) column
+    per size m for the truncated stable).  So all rows are one product of a coefficient
+    matrix, built here once, with the features [log psi, lv, f, ...], one matrix per
+    Gibbs-type model.  Working from lv = log v keeps the Gamma-family tail (where v
+    overflows a float but log v does not) evaluable.  A configuration may be a tuple.
     """
     model, r = params.model, params.r
-    sizes = tuple(sorted({m for c in configs for m in c}))
-    column = {m: j for j, m in enumerate(sizes, start=3)}
+    all_sizes = tuple(sorted({m for c in configs for m in c}))
+    pi = _pi_coefficients(model, all_sizes)
+    sizes = all_sizes if model.kind is ModelKind.TRUNCATED_STABLE else ()
+    column = {m: j for j, m in enumerate(sizes, start=4)}
     rows = []
     for c in configs:  # as lists: item assignment into numpy arrays costs more than the pass
         k, n = len(c), sum(c)
-        rows.append([math.lgamma(r + k) - math.lgamma(r) - math.lgamma(n), -(r + k), n - 1]
-                    + [0.0] * len(sizes))
-        for m in c:
+        row = [math.lgamma(r + k) - math.lgamma(r) - math.lgamma(n), -(r + k), n - 1, 0.0]
+        for m in c:  # log pi_m's affine part, as plain float sums
+            row[0] += pi[m][0]
+            row[3] += pi[m][1]
+        rows.append(row + [0.0] * len(sizes))
+        for m in c if sizes else ():
             rows[-1][column[m]] += 1.0
     rows = np.array(rows)
     const, coef = rows[:, :1], rows[:, 1:]
 
     def log_g(lv):
         if lv is _MESH_LV:
-            return const + coef @ _mesh_features(log_kernels_lv, model, sizes)
-        return const + coef @ _features(log_kernels_lv, model, sizes, lv)
+            return const + coef @ _mesh_features(_kernel_features, model, sizes)
+        return const + coef @ _features(_kernel_features, model, sizes, lv)
 
     return log_g
 
 
 def _features(log_kernels, model, sizes, lv) -> np.ndarray:
-    """The stacked features [log psi, lv, log pi_m for each block size m] at lv: one kernel call."""
+    """The stacked features [log psi, lv, f, log gamma(m - alpha, v) ...] at lv: one kernel call."""
     kernels = log_kernels(model, sizes, lv)
     return np.concatenate([kernels[:1], lv[None], kernels[1:]])
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .levy_models import ModelParamsR
+from .levy_models import ModelKind, ModelParamsR
 from .numerics import LogDensityGridSampler
 from .partitions import AFSVector, Configuration, afs
 from .posterior import _enlarged, _log_g_r_lv, _log_g_r_rows
@@ -73,32 +75,43 @@ def sample_v(params: ModelParamsR, config: Configuration, rng) -> float:
 
 
 class _Urn(NamedTuple):
-    """What one configuration class gives the urn: its enlarged rows and the V sampler."""
-    # lv of shape (N,) -> log g_r at n + new block (row 0) and at n + e_s, shape (rows, N)
+    """What one configuration class gives the urn: its rows and the V sampler."""
+    # lv of shape (N,) -> log g_r at n + new block (row 0), then the join rows, shape (rows, N)
     log_g: Callable
-    row: Dict[int, int]  # block size s -> the row of n + e_s
+    row: Optional[Dict[int, int]]  # block size s -> the row of n + e_s; None: the one join row
     sampler: LogDensityGridSampler
 
 
-@lru_cache(maxsize=4096)
-def _urn(params: ModelParamsR, sorted_counts: Tuple[int, ...]) -> _Urn:
-    """The urn's rows and V sampler for the class of the sorted counts; () before the first draw.
+def _class_key(params: ModelParamsR, config: Optional[Configuration]):
+    """The urn class of config: () before the first draw, then (n, k) for a Gibbs-type model."""
+    gibbs = params.model.kind is not ModelKind.TRUNCATED_STABLE
+    return () if config is None else (config.n, config.k) if gibbs else config.sorted_counts()
 
-    Jointly with V, joining a block of size s has density proportional to
-    g_r(v, n + e_s) and opening a new block to g_r(v, n + new).  So V's
-    marginal density is the sum of the rows, each size s weighted by its m_s
-    blocks, and the choice given V is read from the same rows at that V.  Each
-    step then reproduces the exact marginal predictive, and given the enlarged
-    configuration V again follows its auxiliary density.  Drawing V from the
-    plain g_r(v, n) instead gives a measurably wrong partition law whenever
-    the choice depends on v.  The empty class has the one row g_r(v, (1,)).
+
+@lru_cache(maxsize=4096)
+def _urn(params: ModelParamsR, key) -> _Urn:
+    """The urn's rows and V sampler for a class of ``_class_key``; the empty class has one row.
+
+    Jointly with V, joining block i has density proportional to g_r(v, n + e_i) and
+    opening a new block to g_r(v, n + new): V's marginal density sums the rows over the
+    blocks (V from g_r(v, n) would give a wrong partition law), and the choice given V
+    reads the same rows at V.  The truncated stable keeps a row n + e_s per block size s.
+    A Gibbs-type model has p(n) = V_{n,k} prod (1 - alpha)_{n_i - 1}, so
+    g_r(v, n + e_i) = (n_i - alpha) J(v) with one join row J, and the rows of
+    (n - k + 1, 1, ..., 1) serve its whole (n, k) class up to a common factor.
     """
-    sizes = sorted(set(sorted_counts))
-    log_g = _log_g_r_rows(params, _enlarged(sorted_counts))
-    log_mult = np.log([1] + [sorted_counts.count(s) for s in sizes])[:, None]
+    if not key or params.model.kind is ModelKind.TRUNCATED_STABLE:
+        sizes = sorted(set(key))
+        log_g, row = _log_g_r_rows(params, _enlarged(key)), {s: j for j, s in enumerate(sizes, 1)}
+        log_mult = np.log([1] + [key.count(s) for s in sizes])[:, None]
+    else:
+        (n, k), a = key, params.model.alpha or 0.0
+        rows = _log_g_r_rows(params, [(n - k + 1,) + (1,) * k, (n - k + 2,) + (1,) * (k - 1)])
+        shift = np.log([[1.0], [n - k + 1 - a]])  # J: the join row without its seat weight
+        log_g, log_mult, row = (lambda lv: rows(lv) - shift), np.log([[1.0], [n - k * a]]), None
     sampler = LogDensityGridSampler(
         lambda lv: np.logaddexp.reduce(log_g(lv) + log_mult, axis=0))
-    return _Urn(log_g, {s: j for j, s in enumerate(sizes, start=1)}, sampler)
+    return _Urn(log_g, row, sampler)
 
 
 def urn_step(params: ModelParamsR, config: Optional[Configuration], lv: float,
@@ -106,20 +119,27 @@ def urn_step(params: ModelParamsR, config: Optional[Configuration], lv: float,
     """Add one observation to config at the freshly drawn log v = lv.
 
     It opens a block or joins block i with probability proportional to
-    g_r(v, n + new) or g_r(v, n + e_i).  The first observation (config None)
-    always opens a block and draws no uniform.
+    g_r(v, n + new) or g_r(v, n + e_i); for a Gibbs-type model these are the
+    two values of the class's rows at lv, block i seated with weight n_i - alpha.
+    The first observation (config None) always opens a block and draws no uniform.
     """
     if not math.isfinite(lv):
         raise ValueError(f"log v must be finite, got {lv}")
     if config is None:
         return Configuration((1,))
-    urn = _urn(params, config.sorted_counts())
+    urn = _urn(params, _class_key(params, config))
     logs = urn.log_g(np.array([lv]))[:, 0]
-    logw = logs[[0] + [urn.row[ni] for ni in config.counts]]
-    w = np.exp(logw - logw.max())
-    probs = w / w.sum()
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    idx = min(idx, len(probs) - 1)
+    if urn.row is None:  # two values and the seating weights, over Python floats
+        new, join = logs.tolist()
+        top, a = max(new, join), params.model.alpha or 0.0
+        new, join = math.exp(new - top), math.exp(join - top)
+        cum = list(accumulate([new] + [(ni - a) * join for ni in config.counts]))
+        idx = bisect_right(cum, rng.random() * cum[-1])
+    else:
+        logw = logs[[0] + [urn.row[ni] for ni in config.counts]]
+        w = np.exp(logw - logw.max())
+        idx = int(np.searchsorted(np.cumsum(w / w.sum()), rng.random(), side="right"))
+    idx = min(idx, config.k)
     return config.append_block() if idx == 0 else config.add_one(idx - 1)
 
 
@@ -132,8 +152,7 @@ def run_chain(params: ModelParamsR, n_target: int, seed: int,
     trace = [] if keep_v_trace else None
     config = None
     for _ in range(n_target):
-        counts = () if config is None else config.sorted_counts()
-        lv = _urn(params, counts).sampler.sample_lv(rng)
+        lv = _urn(params, _class_key(params, config)).sampler.sample_lv(rng)
         if trace is not None:
             trace.append(_capped_exp(lv))
         config = urn_step(params, config, lv, rng)
@@ -148,11 +167,8 @@ def run_chain(params: ModelParamsR, n_target: int, seed: int,
 
 def kn_posterior_mc(params: ModelParamsR, n: int, replications: int,
                     seed: int) -> Dict[int, int]:
-    """Monte Carlo histogram of the number of blocks after n observations.
-
-    Replication j runs with chain seed seed + j, so results merge
-    deterministically across workers.
-    """
+    """Monte Carlo histogram of the number of blocks after n observations; replication j
+    runs with chain seed seed + j, one chain after another in this process."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
     hist: Dict[int, int] = {}

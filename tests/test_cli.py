@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from nbpk import sampler
 from nbpk.cli import _SUITES, main
 from nbpk.coalescent import RateFunction
 from nbpk.numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME
@@ -79,6 +80,19 @@ def test_validate_multiple_suites(capsys):
     assert "rfree" in out and "hsolver" in out
 
 
+def test_validate_reports_the_urn_class_cache(capsys):
+    # 50 chains to n = 3 per model look a class up before each V draw and again in
+    # each pick after the first: 5 lookups a chain.  A Gibbs-type model's classes
+    # are the (n, k) of the draws, (0, 0), (1, 1), (2, 1) and (2, 2); truncstable's
+    # are the multisets (), (1,), (2,) and (1, 1).
+    sampler._urn.cache_clear()
+    main(["validate", "--suite", "gibbs", "--n-max", "3", "--reps", "50"])
+    line = re.search(r"^urn class cache: (\d+) hits, (\d+) misses, (\d+) classes$",
+                     capsys.readouterr().err, re.MULTILINE)
+    hits, misses, size = map(int, line.groups())
+    assert (hits + misses, misses, size) == (4 * 50 * 5, 16, 16)
+
+
 def test_validate_times_each_suite_on_stderr(capsys):
     argv = ["validate", "--suite", "pd", "--suite", "predsum"]
     outs = []
@@ -87,6 +101,7 @@ def test_validate_times_each_suite_on_stderr(capsys):
         captured = capsys.readouterr()
         assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n"
                             r"mesh feature cache: \d+ hits, \d+ misses, \d+ matrices\n"
+                            r"urn class cache: \d+ hits, \d+ misses, \d+ classes\n"
                             r"lattice cache: \d+ hits, \d+ misses, \d+ lattices\n",
                             captured.err)
         outs.append(captured.out)

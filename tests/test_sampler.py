@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from nbpk import sampler
-from nbpk.levy_models import LevyModel, ModelParamsR, log_pi_n_lv, log_psi_lv
+from nbpk.levy_models import LevyModel, ModelKind, ModelParamsR, log_pi_n_lv, log_psi_lv
 from nbpk.partitions import Configuration, enumerate_afs, log_partition_coefficient
 from nbpk.posterior import _log_g_r_rows, log_eppf, log_v_moment
-from nbpk.sampler import _urn, kn_posterior_mc, run_chain, sample_v, urn_step
+from nbpk.sampler import _class_key, _urn, kn_posterior_mc, run_chain, sample_v, urn_step
 
 # alpha * r = 7, so the first and second V moments are finite with a usable
 # standard error
@@ -38,9 +38,15 @@ def _normalized(logw):
 
 
 def _urn_probs(params, config, lv):
-    """The urn's (new block, block 1, ..., block k) probabilities at each lv, from its rows."""
-    urn = _urn(params, config.sorted_counts())
-    return _normalized(urn.log_g(np.atleast_1d(lv))[[0] + [urn.row[ni] for ni in config.counts]])
+    """The urn's (new block, block 1, ..., block k) probabilities at each lv, from its class;
+    a Gibbs-type class seats block i on its one join row with weight n_i - alpha."""
+    urn = _urn(params, _class_key(params, config))
+    rows = urn.log_g(np.atleast_1d(lv))
+    if urn.row is None:
+        a = params.model.alpha or 0.0
+        return _normalized(np.array(
+            [rows[0]] + [rows[1] + math.log(ni - a) for ni in config.counts]))
+    return _normalized(rows[[0] + [urn.row[ni] for ni in config.counts]])
 
 
 def _kernel_probs(params, config, lv):
@@ -89,18 +95,32 @@ def test_step_weights_fixed_value():
 
 @pytest.mark.parametrize("counts", [(2, 2, 1), (1, 1, 1, 1)])
 def test_urn_v_density_sums_the_enlarged_rows_per_block(counts, monkeypatch):
-    # The V density weights each block size's row by its multiplicity; that is
-    # the log-sum-exp over n + new and n + e_i for every block i.
+    # The V density weights each join row by its blocks' seating weights; that is
+    # the log-sum-exp over n + new and n + e_i for every block i.  A Gibbs-type
+    # class reads the rows of its representative configuration, which differ from
+    # config's by a constant, so the density is compared up to an additive constant.
     config = Configuration(counts)
     lv = np.linspace(-30.0, 30.0, 601)
     for params in URN_MODELS[:4]:
         densities = []
         monkeypatch.setattr(sampler, "LogDensityGridSampler", densities.append)
-        sampler._urn.__wrapped__(params, config.sorted_counts())
+        sampler._urn.__wrapped__(params, _class_key(params, config))
         per_block = _log_g_r_rows(
             params, [config.append_block()] + [config.add_one(i) for i in range(config.k)])
-        want = np.logaddexp.reduce(per_block(lv), axis=0)
-        assert np.abs(densities[0](lv) - want).max() <= 1e-12
+        diff = densities[0](lv) - np.logaddexp.reduce(per_block(lv), axis=0)
+        assert np.abs(diff - diff[300]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("params", URN_MODELS[:4], ids=lambda p: p.model.describe())
+def test_configurations_with_the_same_n_and_k_share_one_gibbs_class(params):
+    # A Gibbs-type step depends on the configuration only through (n, k) and the
+    # seating weights n_i - alpha; the truncated stable keeps one class per multiset.
+    sampler._urn.cache_clear()
+    rng = np.random.default_rng(5)
+    for counts in [(3, 1), (2, 2), (1, 3)]:
+        urn_step(params, Configuration(counts), 0.0, rng)
+    gibbs = params.model.kind is not ModelKind.TRUNCATED_STABLE
+    assert sampler._urn.cache_info().misses == (1 if gibbs else 2)
 
 
 def test_urn_step_first_observation():
@@ -172,7 +192,7 @@ def test_chain_v_conditional_matches_enlarged_density():
     # step follows the auxiliary density of that enlarged configuration
     params = GG_HEAVY_R
     cfg = Configuration((1,))
-    v_sampler = _urn(params, cfg.sorted_counts()).sampler
+    v_sampler = _urn(params, _class_key(params, cfg)).sampler
     rng = np.random.default_rng(71)
     joined, opened = [], []
     for _ in range(20_000):

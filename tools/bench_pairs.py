@@ -22,13 +22,14 @@ memory change that comes from doing more ops rather than from nbpk.  At A ops
 a run reads I + s A, so a throughput gain g alone raises ``peak_rss_mb`` by
 g s A / (I + s A), which crosses the 0.1 bound of ``BENCHMARK.json`` at
 g = 0.1 (1 + I / (s A)); the fit reports that g as ``gain_at_rss_bound``.
-On ``BENCH_12.json`` (40 s runs) that is about +38 % ops on ``table`` and
-+24 % on ``urn_warm``.
 
 Per workload, ``gate`` lists every end-to-end metric whose median moved the
 wrong way by more than its ``BENCHMARK.json`` bound (an empty list when none
-did), and the script prints it to stderr as each workload finishes, so a
-regression shows before the full comparison is read.
+did), and ``gains`` every metric that meets the gain rule: the change wins at
+least 9 pairs in 10 (a tie counts for neither side) and its median is better
+than the parent's by more than the parent's interquartile range.  The script
+prints both, and ``gain_at_rss_bound``, to stderr as each workload finishes,
+so a regression shows before the full comparison is read.
 """
 
 from __future__ import annotations
@@ -110,6 +111,18 @@ def gate(metrics):
     return failed
 
 
+def gains(metrics):
+    """The metrics that meet the gain rule: at least 9 wins in 10 pairs, ties not counted,
+    and a median better than the parent's by more than the parent's interquartile range."""
+    met = []
+    for name, m in metrics.items():
+        parent, change = m["parent"]["median"], m["change"]["median"]
+        better = parent - change if m["better"] == "lower" else change - parent
+        if m["change_wins"] >= 0.9 * m["pairs"] and better > m["parent_iqr"]:
+            met.append(name)
+    return met
+
+
 def rss_fit(pairs, attempted, bound):
     """peak_rss_mb = I + s * attempted, least squares over every run of both sides.
 
@@ -163,15 +176,21 @@ def main(argv=None):
             attempted = {side: statistics.median(p[side]["attempted"] for p in pairs)
                          for side in ("parent", "change")}
             metrics = summarize(pairs, bench["end_to_end"])
+            fit = rss_fit(pairs, attempted, rss_bound)
             report["workloads"][workload] = {
                 "pairs": pairs, "metrics": metrics, "gate": gate(metrics),
-                "attempted": attempted,
-                "peak_rss_fit": rss_fit(pairs, attempted, rss_bound)}
+                "gains": gains(metrics), "attempted": attempted, "peak_rss_fit": fit}
             failed = report["workloads"][workload]["gate"]
             print(f"{workload} gate: " + ("; ".join(
                 f"{g['metric']} {g['parent']:.4g} -> {g['change']:.4g} (bound {g['bound']})"
                 for g in failed) if failed else "every metric within its bound"),
                 file=sys.stderr, flush=True)
+            bound_gain = fit and fit["gain_at_rss_bound"]
+            print(f"{workload} gains: "
+                  + (", ".join(report["workloads"][workload]["gains"]) or "none")
+                  + "; gain_at_rss_bound: "
+                  + (f"{bound_gain:+.1%} ops" if bound_gain is not None else "no fit"),
+                  file=sys.stderr, flush=True)
             # Written after each workload, so a cut run keeps what it measured.
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
