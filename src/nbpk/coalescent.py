@@ -98,11 +98,13 @@ def backward_event_probabilities(params: ModelParamsR, config: Configuration):
     Block i's term is (n_i/n) p(n), whatever the block's size: the reduced
     configuration n - e_i rebuilds n with predictive probability
     p(n)/p(n - e_i), so one integral gives every term, and the total is p(n).
-    Both are returned as linear floats, so they underflow where the EPPF does.
+    Both are linear floats: a term that underflows (to 0 or a subnormal) raises FloatingPointError.
     """
     if config.n < 2:
         raise ValueError("need a configuration with at least two observations")
     p = math.exp(log_eppf(params, config))
+    if p * min(config.counts) / config.n < 2.0 ** -1022:  # the least term: few or no bits
+        raise FloatingPointError(f"p(n) = {p} puts a term below the normal floats at {config}")
     return np.array([p * ni for ni in config.counts]) / config.n, p
 
 

@@ -55,6 +55,13 @@ class LevyModel:
         elif self.kind is ModelKind.GAMMA:
             if self.theta is None or not (0.0 < self.theta < math.inf):
                 raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.alpha, self.theta)))
+
+    def __hash__(self):  # hashed once: every lru_cache lookup hashes the model
+        return self._hash
+
+    def __reduce__(self):  # unpickle through __init__: a string's hash differs per process
+        return LevyModel, (self.kind, self.alpha, self.theta)
 
     @staticmethod
     def stable(alpha: float) -> "LevyModel":
@@ -88,6 +95,13 @@ class ModelParamsR:
     def __post_init__(self):
         if not (0.0 < self.r < math.inf):
             raise ValueError(f"r must be positive and finite, got {self.r}")
+        object.__setattr__(self, "_hash", hash((self.model, self.r)))
+
+    def __hash__(self):  # as LevyModel's
+        return self._hash
+
+    def __reduce__(self):  # as LevyModel's
+        return ModelParamsR, (self.model, self.r)
 
 
 # ---------------------------------------------------------------------------

@@ -75,20 +75,19 @@ def _log_g_r_rows(params: ModelParamsR, configs):
     overflows a float but log v does not) evaluable.  A configuration may be a tuple.
     """
     model, r = params.model, params.r
-    all_sizes = tuple(sorted({m for c in configs for m in c}))
+    stack = [c.counts if isinstance(c, Configuration) else c for c in configs]
+    all_sizes = tuple(sorted(set().union(*stack)))
     pi = _pi_coefficients(model, all_sizes)
     sizes = all_sizes if model.kind is ModelKind.TRUNCATED_STABLE else ()
-    column = {m: j for j, m in enumerate(sizes, start=4)}
-    rows = []
-    for c in configs:  # as lists: item assignment into numpy arrays costs more than the pass
+    lgamma_r, rows = math.lgamma(r), []
+    for c in stack:  # as lists: item assignment into numpy arrays costs more than the pass
         k, n = len(c), sum(c)
-        row = [math.lgamma(r + k) - math.lgamma(r) - math.lgamma(n), -(r + k), n - 1, 0.0]
+        const_c, b = math.lgamma(r + k) - lgamma_r - math.lgamma(n), 0.0
         for m in c:  # log pi_m's affine part, as plain float sums
-            row[0] += pi[m][0]
-            row[3] += pi[m][1]
-        rows.append(row + [0.0] * len(sizes))
-        for m in c if sizes else ():
-            rows[-1][column[m]] += 1.0
+            c_m, b_m = pi[m]
+            const_c += c_m
+            b += b_m
+        rows.append([const_c, -(r + k), n - 1, b, *map(c.count, sizes)])  # then counts per size
     rows = np.array(rows)
     const, coef = rows[:, :1], rows[:, 1:]
 
@@ -114,11 +113,17 @@ def _mesh_features(log_kernels, model, sizes) -> np.ndarray:
     return features
 
 
-def _log_g_r_lv(params: ModelParamsR, config: Configuration, lv):
-    """log g_r(v, n) at lv = log v, scalar or array: the one-row view of ``_log_g_r_rows``."""
-    lv = np.asarray(lv, float)  # a 1-d float array passes through, so the mesh is recognised
-    out = _log_g_r_rows(params, [config])(lv if lv.ndim == 1 else lv.ravel())[0]
-    return float(out[0]) if lv.ndim == 0 else out.reshape(lv.shape)
+def _log_g_r_row(params: ModelParamsR, config):
+    """lv -> log g_r(v, n) at lv = log v, scalar or array: one row of ``_log_g_r_rows``, built
+    here once, so a quadrature that calls it every refinement round does not rebuild it."""
+    rows = _log_g_r_rows(params, [config])
+
+    def log_g(lv):
+        lv = np.asarray(lv, float)  # a 1-d float array passes through, so the mesh is recognised
+        out = rows(lv if lv.ndim == 1 else lv.ravel())[0]
+        return float(out[0]) if lv.ndim == 0 else out.reshape(lv.shape)
+
+    return log_g
 
 
 def _enlarged(counts):
@@ -140,8 +145,8 @@ def log_eppf(params: ModelParamsR, config: Configuration) -> float:
 
 def log_v_moment(params: ModelParamsR, config: Configuration, power: float) -> float:
     """log int v^power g_r(v, n) dv; subtract log_eppf for the posterior moment."""
-    return log_integrate_halfline_logv(
-        lambda lv: power * lv + _log_g_r_lv(params, config, lv))
+    log_g = _log_g_r_row(params, config)
+    return log_integrate_halfline_logv(lambda lv: power * lv + log_g(lv))
 
 
 def predictive_weights(params: ModelParamsR, config: Configuration) -> PredictiveWeights:

@@ -22,7 +22,7 @@ import numpy as np
 from .levy_models import ModelKind, ModelParamsR
 from .numerics import LogDensityGridSampler
 from .partitions import AFSVector, Configuration, afs
-from .posterior import _enlarged, _log_g_r_lv, _log_g_r_rows
+from .posterior import _enlarged, _log_g_r_row, _log_g_r_rows
 
 __all__ = [
     "GibbsSampleRecord",
@@ -60,18 +60,14 @@ def _capped_exp(lv: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _v_sampler(params: ModelParamsR, sorted_counts: Tuple[int, ...]) -> LogDensityGridSampler:
-    config = Configuration(sorted_counts)
-    return LogDensityGridSampler(lambda lv: _log_g_r_lv(params, config, lv))
+def _v_sampler(params: ModelParamsR, key) -> LogDensityGridSampler:
+    """The V sampler of a class of ``_class_key``, built on the class's representative."""
+    return LogDensityGridSampler(_log_g_r_row(params, _representative(params, key)))
 
 
 def sample_v(params: ModelParamsR, config: Configuration, rng) -> float:
-    """One draw from the density proportional to g_r(v, n).
-
-    The sampler grid depends on the configuration only through the block-size
-    multiset, so grids are cached on the sorted counts.
-    """
-    return _capped_exp(_v_sampler(params, config.sorted_counts()).sample_lv(rng))
+    """One draw from the density proportional to g_r(v, n), from its urn class's cached grid."""
+    return _capped_exp(_v_sampler(params, _class_key(params, config)).sample_lv(rng))
 
 
 class _Urn(NamedTuple):
@@ -84,8 +80,20 @@ class _Urn(NamedTuple):
 
 def _class_key(params: ModelParamsR, config: Optional[Configuration]):
     """The urn class of config: () before the first draw, then (n, k) for a Gibbs-type model."""
-    gibbs = params.model.kind is not ModelKind.TRUNCATED_STABLE
-    return () if config is None else (config.n, config.k) if gibbs else config.sorted_counts()
+    if config is None:
+        return ()
+    return (config.n, config.k) if _gibbs(params) else config.sorted_counts()
+
+
+def _gibbs(params: ModelParamsR) -> bool:
+    """Whether the urn classes are (n, k): the model's EPPF is of Gibbs type."""
+    return params.model.kind is not ModelKind.TRUNCATED_STABLE
+
+
+def _representative(params: ModelParamsR, key):
+    """Sorted counts in the class of key: (n - k + 1, 1, ..., 1) for a Gibbs-type (n, k), whose
+    g_r differs from every member's by a constant factor; else the key itself."""
+    return (key[0] - key[1] + 1,) + (1,) * (key[1] - 1) if key and _gibbs(params) else key
 
 
 @lru_cache(maxsize=4096)
@@ -100,14 +108,14 @@ def _urn(params: ModelParamsR, key) -> _Urn:
     g_r(v, n + e_i) = (n_i - alpha) J(v) with one join row J, and the rows of
     (n - k + 1, 1, ..., 1) serve its whole (n, k) class up to a common factor.
     """
-    if not key or params.model.kind is ModelKind.TRUNCATED_STABLE:
+    if not key or not _gibbs(params):
         sizes = sorted(set(key))
         log_g, row = _log_g_r_rows(params, _enlarged(key)), {s: j for j, s in enumerate(sizes, 1)}
         log_mult = np.log([1] + [key.count(s) for s in sizes])[:, None]
     else:
-        (n, k), a = key, params.model.alpha or 0.0
-        rows = _log_g_r_rows(params, [(n - k + 1,) + (1,) * k, (n - k + 2,) + (1,) * (k - 1)])
-        shift = np.log([[1.0], [n - k + 1 - a]])  # J: the join row without its seat weight
+        (n, k), a, c = key, params.model.alpha or 0.0, _representative(params, key)
+        rows = _log_g_r_rows(params, [c + (1,), (c[0] + 1,) + c[1:]])  # c + new, c + e_1
+        shift = np.log([[1.0], [c[0] - a]])  # J: the join row without its seat weight
         log_g, log_mult, row = (lambda lv: rows(lv) - shift), np.log([[1.0], [n - k * a]]), None
     sampler = LogDensityGridSampler(
         lambda lv: np.logaddexp.reduce(log_g(lv) + log_mult, axis=0))

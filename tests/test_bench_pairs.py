@@ -1,0 +1,94 @@
+"""The paired-benchmark rules of tools/bench_pairs.py, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+DECLARED = [
+    {"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+# The parent's ten op_ms_p50 runs: median 1.045, quartiles 1.0225 and 1.0675.
+PARENT_MS = [1.00 + 0.01 * i for i in range(10)]
+
+
+def _pairs(parent_ms, change_ms, attempted=(1000, 1000), rss=(100.0, 100.0)):
+    def run(ms, a, mb):
+        return {"attempted": a, "metrics": {"op_ms_p50": ms, "ops_per_s": 1e3 / ms,
+                                            "peak_rss_mb": mb}}
+    return [{"parent": run(p, attempted[0], rss[0]), "change": run(c, attempted[1], rss[1])}
+            for p, c in zip(parent_ms, change_ms)]
+
+
+def _metrics(change_ms):
+    return bench_pairs.summarize(_pairs(PARENT_MS, change_ms), DECLARED)
+
+
+def test_nine_wins_in_ten_and_a_median_beyond_the_iqr_meet_the_gain_rule():
+    change = [p - 0.1 for p in PARENT_MS]
+    change[3] = PARENT_MS[3] + 0.05  # one pair lost
+    metrics = _metrics(change)
+    assert (metrics["op_ms_p50"]["change_wins"], metrics["op_ms_p50"]["change_losses"]) == (9, 1)
+    assert metrics["op_ms_p50"]["parent_iqr"] == pytest.approx(0.045)
+    assert bench_pairs.gains(metrics) == ["op_ms_p50", "ops_per_s"]
+    assert bench_pairs.gate(metrics) == []
+
+
+def test_eight_wins_do_not_meet_the_gain_rule():
+    change = [p - 0.1 for p in PARENT_MS]
+    change[3], change[7] = PARENT_MS[3] + 0.05, PARENT_MS[7] + 0.05
+    assert bench_pairs.gains(_metrics(change)) == []
+
+
+def test_a_tie_counts_for_neither_side():
+    change = [p - 0.1 for p in PARENT_MS]
+    change[5] = PARENT_MS[5]
+    m = _metrics(change)["op_ms_p50"]
+    assert (m["change_wins"], m["change_losses"], m["pairs"]) == (9, 0, 10)
+    assert "op_ms_p50" in bench_pairs.gains(_metrics(change))
+    change[6] = PARENT_MS[6]  # a second tie leaves 8 wins in 10
+    assert bench_pairs.gains(_metrics(change)) == []
+
+
+def test_a_median_move_within_the_parents_iqr_is_no_gain():
+    # Every pair won, by less than the parent's spread.
+    assert bench_pairs.gains(_metrics([p - 0.02 for p in PARENT_MS])) == []
+
+
+def test_a_loss_beyond_the_bound_fails_the_gate_and_one_within_it_does_not():
+    # 1.4 times the time is 1/1.4 the throughput: -28.6 %, past its 0.25 bound too.
+    failed = bench_pairs.gate(_metrics([p * 1.4 for p in PARENT_MS]))
+    assert [f["metric"] for f in failed] == ["op_ms_p50", "ops_per_s"]
+    assert failed[0]["median_rel_change"] == pytest.approx(0.4)
+    assert bench_pairs.gate(_metrics([p * 1.2 for p in PARENT_MS])) == []
+
+
+def test_rss_fit_recovers_the_line_and_the_gain_at_the_rss_bound():
+    # peak_rss_mb = 100 MB + 0.5 KB per op, exactly, over op counts that vary.
+    intercept, slope, bound = 100.0, 0.5 / 1024.0, 0.1
+    parent_ops = [20000 + 500 * i for i in range(10)]
+    change_ops = [a + 4000 for a in parent_ops]
+    pairs = []
+    for a, b in zip(parent_ops, change_ops):
+        pairs += _pairs([1.0], [1.0], (a, b), (intercept + slope * a, intercept + slope * b))
+    attempted = {"parent": 22250, "change": 26250}
+    fit = bench_pairs.rss_fit(pairs, attempted, bound)
+    assert fit["intercept_mb"] == pytest.approx(intercept)
+    assert fit["kb_per_op"] == pytest.approx(0.5)
+    assert fit["harness_mb"] == pytest.approx(slope * 4000)
+    g = fit["gain_at_rss_bound"]
+    assert g == pytest.approx(bound * (1.0 + intercept / (slope * attempted["parent"])))
+    # At that gain alone the fitted peak_rss_mb rises by exactly the bound.
+    a = attempted["parent"]
+    assert (intercept + slope * a * (1.0 + g)) / (intercept + slope * a) == pytest.approx(1.1)
+
+
+def test_rss_fit_needs_op_counts_that_vary():
+    assert bench_pairs.rss_fit(_pairs(PARENT_MS, PARENT_MS), {"parent": 1000, "change": 1000},
+                               0.1) is None

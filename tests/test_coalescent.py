@@ -46,6 +46,17 @@ def test_backward_terms_sum_to_eppf():
                 assert total == pytest.approx(want, rel=1e-5), (params, cfg)
 
 
+@pytest.mark.parametrize("counts", [(300, 300, 300), (214, 214, 214), (491, 491, 1)])
+def test_backward_terms_raise_where_they_leave_normal_floats(counts):
+    # log p = -1008 underflows to 0 and -723 to a subnormal; at (491, 491, 1) p is
+    # normal (log p = -702.5) but the singleton's term p/983 is not.  The terms
+    # returned silently as zeros or with few significant bits.
+    config = Configuration(counts)
+    assert math.exp(log_eppf(PD_HALF, config)) / config.n < sys.float_info.min
+    with pytest.raises(FloatingPointError):
+        backward_event_probabilities(PD_HALF, config)
+
+
 def test_backward_terms_one_quadrature_pass(monkeypatch):
     import nbpk.posterior as posterior
     integrals, predictive = [], []

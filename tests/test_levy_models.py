@@ -2,6 +2,10 @@
 defining integrals, plus the derivative chain pi_n = (-1)^{n-1} psi^{(n)}."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -11,6 +15,7 @@ from scipy.integrate import quad
 
 from nbpk.levy_models import (
     LevyModel,
+    ModelKind,
     ModelParamsR,
     _log_lower_gamma_lv,
     log_kernels_lv,
@@ -200,3 +205,19 @@ def test_parameter_validation():
 def test_log_pi_n_domain_errors():
     with pytest.raises(ValueError):
         log_pi_n_lv(LevyModel.stable(0.5), 0, 0.0)
+
+
+def test_a_model_unpickled_from_another_process_hashes_as_a_fresh_one():
+    # The hash is computed once, and a string (the kind's name) hashes differently in
+    # every process, so a pickled model must not carry its hash along.
+    code = ("import pickle, sys; from nbpk import LevyModel, ModelParamsR; "
+            "sys.stdout.buffer.write(pickle.dumps(ModelParamsR(LevyModel.gamma(1.5), 2.0)))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        params = pickle.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                             capture_output=True, check=True).stdout)
+        fresh = ModelParamsR(LevyModel(ModelKind.GAMMA, theta=1.5), 2.0)
+        assert params == fresh and hash(params) == hash(fresh)
+        assert hash(params.model) == hash(fresh.model)
+        assert {fresh: "cached"}.get(params) == "cached"

@@ -17,7 +17,7 @@ from nbpk.numerics import (
 )
 from nbpk.partitions import Configuration
 from nbpk.posterior import _log_g_r_rows, log_eppf
-from nbpk.sampler import _v_sampler, sample_v
+from nbpk.sampler import _class_key, _v_sampler, sample_v
 
 
 def test_kronrod_weights_integrate_polynomials_to_degree_22():
@@ -212,7 +212,7 @@ def test_grid_sampler_deterministic():
 def test_grid_sampler_sample_lv_consistent():
     # sample_v reports v = exp of the grid sampler's log-v draw
     params, config = ModelParamsR(LevyModel.gamma(1.0), 2.0), Configuration((2, 1))
-    lv = _v_sampler(params, config.sorted_counts()).sample_lv(np.random.default_rng(11))
+    lv = _v_sampler(params, _class_key(params, config)).sample_lv(np.random.default_rng(11))
     v = sample_v(params, config, np.random.default_rng(11))
     assert v == pytest.approx(math.exp(lv))
 

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from nbpk import numerics, posterior, reference
+from nbpk import numerics, posterior, reference, sampler
 from nbpk.levy_models import LevyModel, ModelKind, ModelParamsR, _kernel_features, log_pi_n_lv
 from nbpk.numerics import (_MESH_LV, _MESH_T, LogDensityGridSampler, QuadratureError,
                            log_integrate_halfline_logv)
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
-    _log_g_r_lv,
+    _log_g_r_row,
     _log_g_r_rows,
     _mesh_features,
     check_prediction_sum,
@@ -44,7 +44,7 @@ FOUR_MODELS = [
 def test_log_g_r_fixed_value():
     # hand assembly for the generalized-gamma model at v = 1:
     # r^{[k]} = 2, psi = 2^{0.5}, pi_1 = 0.5 * 2^{-0.5}, exponent r+k = 3
-    got = _log_g_r_lv(PD_HALF, Configuration((1,)), math.log(1.0))
+    got = _log_g_r_row(PD_HALF, Configuration((1,)))(math.log(1.0))
     assert got == pytest.approx(math.log(0.25), abs=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_omega0_routes_agree():
             cfg = Configuration(counts)
             a = predictive_weights(params, cfg).log_omega0
             b = math.log(params.r / cfg.n) + log_integrate_halfline_logv(
-                lambda lv: lv + log_pi_n_lv(params.model, 1, lv) + _log_g_r_lv(bumped, cfg, lv))
+                lambda lv: lv + log_pi_n_lv(params.model, 1, lv) + _log_g_r_row(bumped, cfg)(lv))
             assert abs(a - b) < 1e-8
 
 
@@ -182,7 +182,7 @@ def test_log_v_moment_against_independent_quadrature():
     from scipy.integrate import quad
     params = ModelParamsR(LevyModel.generalized_gamma(0.7), 10.0)
     cfg = Configuration((2, 1))
-    want, _ = quad(lambda v: v * math.exp(_log_g_r_lv(params, cfg, math.log(v))), 0, np.inf,
+    want, _ = quad(lambda v: v * math.exp(_log_g_r_row(params, cfg)(math.log(v))), 0, np.inf,
                    limit=400, epsabs=0, epsrel=1e-10)
     got = math.exp(log_v_moment(params, cfg, 1.0))
     assert got == pytest.approx(want, rel=1e-7)
@@ -323,7 +323,7 @@ def test_mesh_path_matches_the_general_path_bitwise(params, monkeypatch):
     # arbitrary nodes; one row is -inf everywhere.
     rows = _log_g_r_rows(params, CACHE_CONFIGS[:5])
     stack = lambda lv: np.vstack([rows(lv), np.full(np.shape(lv), -np.inf)])
-    sampler_rows = [lambda lv, c=c: _log_g_r_lv(params, c, lv) for c in CACHE_CONFIGS[:5]]
+    sampler_rows = [_log_g_r_row(params, c) for c in CACHE_CONFIGS[:5]]
 
     def run():
         samplers = [LogDensityGridSampler(f) for f in sampler_rows]
@@ -362,7 +362,7 @@ def test_mesh_kernels_are_evaluated_once_per_model_and_block_size(model, monkeyp
         for config in configs:
             log_eppf(params, config)
             predictive_weights(params, config)
-        # The V sampler and the moments reach the rows through _log_g_r_lv.
+        # The V sampler and the moments reach the rows through _log_g_r_row.
         sample_v(params, Configuration((4, 2)), rng)
         log_v_moment(params, Configuration((3, 3)), 1.0)
         if gibbs:  # the urn's (n, k) classes read the same matrix
@@ -396,3 +396,17 @@ def test_gamma_single_observation_has_probability_one(theta, r):
 @pytest.mark.parametrize("r", [0.2, 0.05])
 def test_gamma_small_r_single_observation_has_probability_one(r):
     assert abs(log_eppf(ModelParamsR(LevyModel.gamma(1.0), r), Configuration((1,)))) <= 1e-9
+
+
+@pytest.mark.parametrize("params", FOUR_MODELS, ids=lambda p: p.model.describe())
+def test_a_moment_and_a_v_sampler_build_their_row_once(params, monkeypatch):
+    # The quadrature calls the integrand once a round (about 50 rounds for the (2, 1)
+    # moment): the coefficient row is built before the first, not in every one.
+    builds = []
+    build = posterior._log_g_r_rows
+    monkeypatch.setattr(posterior, "_log_g_r_rows", lambda *a: builds.append(a[1]) or build(*a))
+    log_v_moment(params, Configuration((2, 1)), 1.0)
+    assert len(builds) == 1
+    sampler._v_sampler.cache_clear()
+    sample_v(params, Configuration((3, 1)), np.random.default_rng(2))
+    assert len(builds) == 2

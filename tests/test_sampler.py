@@ -123,6 +123,18 @@ def test_configurations_with_the_same_n_and_k_share_one_gibbs_class(params):
     assert sampler._urn.cache_info().misses == (1 if gibbs else 2)
 
 
+@pytest.mark.parametrize("params", [PD_HALF, URN_MODELS[3]], ids=lambda p: p.model.describe())
+def test_v_samplers_are_keyed_on_the_urn_class(params):
+    # A Gibbs-type g_r(v, n) depends on the configuration only through (n, k), up to a
+    # constant factor, so (3, 1), (2, 2) and (1, 3) share one V sampler.
+    sampler._v_sampler.cache_clear()
+    rng = np.random.default_rng(5)
+    for counts in [(3, 1), (2, 2), (1, 3)]:
+        sample_v(params, Configuration(counts), rng)
+    gibbs = params.model.kind is not ModelKind.TRUNCATED_STABLE
+    assert sampler._v_sampler.cache_info().misses == (1 if gibbs else 2)
+
+
 def test_urn_step_first_observation():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
