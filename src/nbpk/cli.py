@@ -20,12 +20,12 @@ import numpy as np
 from . import checks
 from .coalescent import (RateFunction, RateKind, _lattice, h_solver_exact,
                          history_to_json_lines, simulate_backward)
-from .levy_models import LevyModel, ModelParamsR
+from .levy_models import LevyModel, ModelParamsR, _pi_coefficients, _shape_constants
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
                        QuadratureError)
 from .partitions import Configuration
 from .posterior import _mesh_features, log_eppf, predictive_weights
-from .sampler import _urn, run_chain
+from .sampler import _urn, _v_sampler, run_chain
 
 DEFAULT_SEED = 1729
 
@@ -196,7 +196,10 @@ def _cmd_validate(args) -> int:
             rows.append([name, label, f"{value:.3g}", "PASS" if ok else "FAIL"])
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     for name, cache, unit in (("mesh feature", _mesh_features, "matrices"),
-                              ("urn class", _urn, "classes"), ("lattice", _lattice, "lattices")):
+                              ("urn class", _urn, "classes"), ("V sampler", _v_sampler, "samplers"),
+                              ("lattice", _lattice, "lattices"),
+                              ("pi coefficient", _pi_coefficients, "size sets"),
+                              ("shape constant", _shape_constants, "shape sets")):
         hits, misses, _, size = cache.cache_info()
         print(f"{name} cache: {hits} hits, {misses} misses, {size} {unit}", file=sys.stderr)
     _emit_table(rows, ["suite", "check", "value", "status"], args.csv)

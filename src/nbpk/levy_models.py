@@ -108,24 +108,31 @@ class ModelParamsR:
 # Incomplete gamma kernel
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
+def _shape_constants(shapes) -> tuple:
+    """Shared read-only arrays s, log s and log Gamma(s) for a tuple of shapes."""
+    out = tuple(np.array([f(c) for c in shapes]) for f in (float, math.log, math.lgamma))
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 def _log_lower_gamma_lv(s, lv):
     """log gamma(s, e^lv) for a shape s (a float or a column) and lv (a float or 1-d).
 
     v = e^lv may underflow or overflow.  Below x = s + 1 it uses
     gamma(s, x) = x^s e^{-x} M(1, s + 1, x) / s with Kummer's function M;
     above, Gamma(s) (1 - Q(s, x)) with the regularised upper function Q, where
-    x = inf gives Gamma(s).  log s and log Gamma(s) come from ``math`` per
-    shape, so a column of shapes gives each row the bits of its own call.
+    x = inf gives Gamma(s).  log s and log Gamma(s) come from ``math`` per shape, cached
+    per tuple of shapes, so a column of shapes gives each row the bits of its own call.
     """
     lv, s = np.asarray(lv, float), np.asarray(s, float)
     shape = np.broadcast(s, lv).shape
-    s, lv = s.reshape(-1, 1), lv.reshape(1, -1)  # one row per shape, one column per point
+    (s, log_s, lgamma_s), lv = _shape_constants(tuple(s.ravel().tolist())), lv.ravel()
     with np.errstate(over="ignore"):
         x = np.exp(lv)
-    series = x < s + 1.0
+    series = x < s[:, None] + 1.0  # one row per shape, one column per point
     (si, sj), (ti, tj) = series.nonzero(), (~series).nonzero()  # in the masks' order
-    s, lv, x = s.ravel(), lv.ravel(), x.ravel()
-    log_s, lgamma_s = (np.array([f(c) for c in s]) for f in (math.log, math.lgamma))
     out = np.empty(series.shape)
     ss, xs = s[si], x[sj]
     out[series] = ss * lv[sj] - xs - log_s[si] + np.log(hyp1f1(1.0, ss + 1.0, xs))
@@ -159,8 +166,8 @@ def _kernel_features(model: LevyModel, sizes, lv) -> np.ndarray:
         return np.stack([np.logaddexp(0.0, a * lv) if kind is ModelKind.STABLE
                          else np.log1p(th * f) if kind is ModelKind.GAMMA else a * f, f])
     # psi by integration by parts of its defining integral over (0, 1]
-    shapes = np.array([1.0 - a] + [m - a for m in sizes]).reshape((-1,) + (1,) * lv.ndim)
-    log_gammas = _log_lower_gamma_lv(shapes, lv)
+    shapes = _shape_constants((1.0 - a, *(m - a for m in sizes)))[0]
+    log_gammas = _log_lower_gamma_lv(shapes.reshape((-1,) + (1,) * lv.ndim), lv)
     with np.errstate(over="ignore"):
         log_psi = np.logaddexp(-np.exp(lv), a * lv + log_gammas[0])
     return np.concatenate([log_psi[None], f[None], log_gammas[1:]])

@@ -136,18 +136,13 @@ def urn_step(params: ModelParamsR, config: Optional[Configuration], lv: float,
     if config is None:
         return Configuration((1,))
     urn = _urn(params, _class_key(params, config))
-    logs = urn.log_g(np.array([lv]))[:, 0]
-    if urn.row is None:  # two values and the seating weights, over Python floats
-        new, join = logs.tolist()
-        top, a = max(new, join), params.model.alpha or 0.0
-        new, join = math.exp(new - top), math.exp(join - top)
-        cum = list(accumulate([new] + [(ni - a) * join for ni in config.counts]))
-        idx = bisect_right(cum, rng.random() * cum[-1])
-    else:
-        logw = logs[[0] + [urn.row[ni] for ni in config.counts]]
-        w = np.exp(logw - logw.max())
-        idx = int(np.searchsorted(np.cumsum(w / w.sum()), rng.random(), side="right"))
-    idx = min(idx, config.k)
+    logs = urn.log_g(np.array([lv]))[:, 0].tolist()
+    top, a = max(logs), params.model.alpha or 0.0
+    w = [math.exp(x - top) for x in logs]  # row 0 is the new block's
+    blocks = ([(ni - a) * w[1] for ni in config.counts] if urn.row is None  # seated n_i - alpha
+              else [w[urn.row[ni]] for ni in config.counts])
+    cum = list(accumulate([w[0]] + blocks))
+    idx = min(bisect_right(cum, rng.random() * cum[-1]), config.k)
     return config.append_block() if idx == 0 else config.add_one(idx - 1)
 
 

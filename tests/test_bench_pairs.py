@@ -92,3 +92,20 @@ def test_rss_fit_recovers_the_line_and_the_gain_at_the_rss_bound():
 def test_rss_fit_needs_op_counts_that_vary():
     assert bench_pairs.rss_fit(_pairs(PARENT_MS, PARENT_MS), {"parent": 1000, "change": 1000},
                                0.1) is None
+
+
+def test_gains_line_prints_attempted_and_the_rss_fit_beside_the_gains():
+    parent_ops = [20000 + 500 * i for i in range(10)]
+    pairs = []
+    for a in parent_ops:  # 100 MB + 0.5 KB per op; the change runs 4000 ops more
+        pairs += _pairs([1.0], [1.0], (a, a + 4000), (100.0 + a / 2048, 100.0 + (a + 4000) / 2048))
+    attempted = {"parent": 22250, "change": 26250}
+    fit = bench_pairs.rss_fit(pairs, attempted, 0.1)
+    summary = {"gains": ["op_ms_tail", "ops_per_s"], "attempted": attempted, "peak_rss_fit": fit}
+    assert bench_pairs.gains_line("urn_warm", summary) == (
+        "urn_warm gains: op_ms_tail, ops_per_s; attempted: parent 22250, change 26250; "
+        f"harness_mb: +1.95; gain_at_rss_bound: {fit['gain_at_rss_bound']:+.1%} ops")
+    summary = {"gains": [], "attempted": {"parent": 1000, "change": 1000}, "peak_rss_fit": None}
+    assert bench_pairs.gains_line("table", summary) == (
+        "table gains: none; attempted: parent 1000, change 1000; "
+        "harness_mb: no fit; gain_at_rss_bound: no fit")

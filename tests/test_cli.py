@@ -102,7 +102,10 @@ def test_validate_times_each_suite_on_stderr(capsys):
         assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n"
                             r"mesh feature cache: \d+ hits, \d+ misses, \d+ matrices\n"
                             r"urn class cache: \d+ hits, \d+ misses, \d+ classes\n"
-                            r"lattice cache: \d+ hits, \d+ misses, \d+ lattices\n",
+                            r"V sampler cache: \d+ hits, \d+ misses, \d+ samplers\n"
+                            r"lattice cache: \d+ hits, \d+ misses, \d+ lattices\n"
+                            r"pi coefficient cache: \d+ hits, \d+ misses, \d+ size sets\n"
+                            r"shape constant cache: \d+ hits, \d+ misses, \d+ shape sets\n",
                             captured.err)
         outs.append(captured.out)
     # The table alone goes to stdout, unchanged by the timings.

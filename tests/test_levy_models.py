@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nbpk import levy_models
 from nbpk.levy_models import (
     LevyModel,
     ModelKind,
@@ -169,6 +170,18 @@ def test_log_lower_gamma_kernel_against_mpmath():
     assert column.shape == (len(shapes), lvs.size)
     np.testing.assert_allclose(column, np.array(wants), rtol=1e-13, atol=0)
     assert column.tobytes() == np.array(gots).tobytes()
+    # A shape tuple no other call uses, with its constants cache cleared, then warm: the
+    # same bits both times, and each row those of its own one-shape call.
+    fresh = np.array([0.3, 4.7, 12.25])[:, None]
+    levy_models._shape_constants.cache_clear()
+    cold = _log_lower_gamma_lv(fresh, lvs)
+    assert levy_models._shape_constants.cache_info().misses == 1
+    assert _log_lower_gamma_lv(fresh, lvs).tobytes() == cold.tobytes()
+    assert levy_models._shape_constants.cache_info().hits == 1
+    for s, row in zip(fresh.ravel(), cold):
+        assert row.tobytes() == _log_lower_gamma_lv(s, lvs).tobytes()
+        want = [_mp_log_lower_gamma(s, lv) for lv in lvs]
+        np.testing.assert_allclose(row, want, rtol=1e-13, atol=0, err_msg=f"s = {s}")
 
 
 @pytest.mark.parametrize("model", [LevyModel.stable(0.4), LevyModel.gamma(1.5),

@@ -2,11 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nbpk import sampler
+from nbpk import checks, sampler
 from nbpk.levy_models import LevyModel, ModelKind, ModelParamsR, log_pi_n_lv, log_psi_lv
 from nbpk.partitions import Configuration, enumerate_afs, log_partition_coefficient
 from nbpk.posterior import _log_g_r_rows, log_eppf, log_v_moment
@@ -133,6 +134,37 @@ def test_v_samplers_are_keyed_on_the_urn_class(params):
         sample_v(params, Configuration(counts), rng)
     gibbs = params.model.kind is not ModelKind.TRUNCATED_STABLE
     assert sampler._v_sampler.cache_info().misses == (1 if gibbs else 2)
+
+
+def test_truncstable_pick_matches_the_cumulative_sum_reference():
+    # The step bisects the accumulated per-block values over Python floats; the reference
+    # normalises the same rows with numpy and searches the cumulative sum.  Rounding may
+    # part them only where u lies on a boundary between two blocks.
+    params, rng = URN_MODELS[3], np.random.default_rng(23)
+    configs, picked = checks.configs_up_to(5), set()
+    for _ in range(10_000):
+        config = configs[rng.integers(len(configs))]
+        lv, u = rng.uniform(-15.0, 15.0), rng.random()
+        urn = _urn(params, _class_key(params, config))
+        logw = urn.log_g(np.array([lv]))[[0] + [urn.row[ni] for ni in config.counts], 0]
+        w = np.exp(logw - logw.max())
+        cum = np.cumsum(w / w.sum())
+        want = int(np.searchsorted(cum, u, side="right"))
+        step = urn_step(params, config, lv, SimpleNamespace(random=lambda: u))  # rng stub
+        got = 0 if step.k > config.k else 1 + next(
+            i for i, (a, b) in enumerate(zip(step.counts, config.counts)) if a != b)
+        assert got == want or np.abs(cum - u).min() <= 1e-12, (config.counts, lv, u, got)
+        picked.add(got)
+    assert picked == set(range(6))  # the new block and every block of a 5-block class
+
+
+@pytest.mark.parametrize("params", [ModelParamsR(LevyModel.truncated_stable(0.2), 0.5),
+                                    ModelParamsR(LevyModel.truncated_stable(0.8), 3.0)],
+                         ids=["alpha0.2-r0.5", "alpha0.8-r3"])
+def test_truncstable_chain_law_across_alpha_and_r(params):
+    # Criterion 7 checks the truncated stable at alpha = 0.5, r = 1.5 alone.
+    [(_, pval, ok)] = checks.urn_exactness([params], 4, 10_000, 10_000)
+    assert ok, pval
 
 
 def test_urn_step_first_observation():

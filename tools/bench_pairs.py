@@ -28,8 +28,10 @@ wrong way by more than its ``BENCHMARK.json`` bound (an empty list when none
 did), and ``gains`` every metric that meets the gain rule: the change wins at
 least 9 pairs in 10 (a tie counts for neither side) and its median is better
 than the parent's by more than the parent's interquartile range.  The script
-prints both, and ``gain_at_rss_bound``, to stderr as each workload finishes,
-so a regression shows before the full comparison is read.
+prints both to stderr as each workload finishes, the gains beside each side's
+median ``attempted``, ``harness_mb`` and ``gain_at_rss_bound``, so a
+regression, or a gain that the ``peak_rss_mb`` bound cannot hold, shows before
+the full comparison is read.
 """
 
 from __future__ import annotations
@@ -142,6 +144,18 @@ def rss_fit(pairs, attempted, bound):
     }
 
 
+def gains_line(workload, summary):
+    """The stderr line of a finished workload: its gains, each side's median ``attempted``,
+    and the ``harness_mb`` and ``gain_at_rss_bound`` of its RSS fit."""
+    fit, attempted = summary["peak_rss_fit"], summary["attempted"]
+    bound_gain = fit and fit["gain_at_rss_bound"]
+    return (f"{workload} gains: " + (", ".join(summary["gains"]) or "none")
+            + f"; attempted: parent {attempted['parent']:.0f}, change {attempted['change']:.0f}"
+            + "; harness_mb: " + (f"{fit['harness_mb']:+.2f}" if fit else "no fit")
+            + "; gain_at_rss_bound: "
+            + (f"{bound_gain:+.1%} ops" if bound_gain is not None else "no fit"))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
@@ -185,12 +199,8 @@ def main(argv=None):
                 f"{g['metric']} {g['parent']:.4g} -> {g['change']:.4g} (bound {g['bound']})"
                 for g in failed) if failed else "every metric within its bound"),
                 file=sys.stderr, flush=True)
-            bound_gain = fit and fit["gain_at_rss_bound"]
-            print(f"{workload} gains: "
-                  + (", ".join(report["workloads"][workload]["gains"]) or "none")
-                  + "; gain_at_rss_bound: "
-                  + (f"{bound_gain:+.1%} ops" if bound_gain is not None else "no fit"),
-                  file=sys.stderr, flush=True)
+            print(gains_line(workload, report["workloads"][workload]), file=sys.stderr,
+                  flush=True)
             # Written after each workload, so a cut run keeps what it measured.
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
