@@ -287,6 +287,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if getattr(args, "reps", 1) < 1:
+            raise ValueError("--reps must be at least 1")
         return args.func(args)
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

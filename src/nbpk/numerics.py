@@ -9,6 +9,8 @@ The engine bisects panels with the nested Gauss-Kronrod rule: one evaluation
 at a panel's 15 Kronrod nodes gives its mass and, through the embedded 7-point
 Gauss rule, its error.  Every integral's first round is one fixed, precomputed
 mesh, whose lv array ``_MESH_LV`` an integrand may recognise and cache columns on.
+The grid sampler's CDF integrates the interpolant of each converged panel's K15
+values up to its nodes, so sampling reads the same panels and the same rule.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import legendre
 
 __all__ = [
     "QuadratureError",
@@ -63,6 +66,10 @@ _G7_HALF = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3])
 _G7_WEIGHTS = np.concatenate([_G7_HALF, _G7_HALF[-2::-1]])
 # Columns: the K15 mass and the signed K15 - G7 difference, from one product.
 _RULE_COLUMNS = np.column_stack([_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS])
+# Row j: the integral from -1 to node j (last row: to +1) of each node's Lagrange
+# basis polynomial, by way of the Legendre basis; the last row is _K15_WEIGHTS.
+_CUM_WEIGHTS = (legendre.legvander(np.append(_K15_NODES, 1.0), 15)
+                @ legendre.legint(np.linalg.inv(legendre.legvander(_K15_NODES, 14)), lbnd=-1))
 # The rule and the number of equal panels refinement starts from, as
 # ``nbpk --show-config`` prints them.
 _RULE_NAME = "gauss-kronrod G7/K15"
@@ -127,7 +134,6 @@ class _Panels(NamedTuple):
     a: np.ndarray          # left edges
     b: np.ndarray          # right edges
     l15: np.ndarray        # log integrand at each panel's K15 nodes, shape rows + (panels, 15)
-    mass: np.ndarray       # each panel's K15 estimate / e^(row max), shape rows + (panels,)
     log_total: np.ndarray  # log of each row's integral, shape rows; -inf for a row that is zero
 
 
@@ -152,7 +158,7 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
         total = sums[..., 0].sum(axis=-1)
         # A NaN or a row whose max is not finite fails this test and meets the checks below.
         if (np.abs(sums[..., 1]).sum(axis=-1) <= _REL_TOL * total).all():
-            return _Panels(a, b, l15, sums[..., 0], m + np.log(total))
+            return _Panels(a, b, l15, m + np.log(total))
 
         while True:
             m = l15.max(axis=(-2, -1))
@@ -166,7 +172,7 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
             total, total_err = mass.sum(axis=-1), err.sum(axis=-1)
             done = dead | ((total > 0.0) & (total_err <= _REL_TOL * total))
             if done.all():
-                return _Panels(a, b, l15, mass, m + np.log(total))
+                return _Panels(a, b, l15, m + np.log(total))
 
             # Split every panel whose error exceeds an unconverged row's fair share
             # of that row's budget; always split at least the worst one.
@@ -215,72 +221,47 @@ def log_integrate_halfline_logv(log_f_lv: Callable):
     return float(logs) if logs.ndim == 0 else logs
 
 
-def _cell_log_masses(t, logg):
-    """Log mass of each piecewise-exponential cell defined by nodes t, values logg.
-
-    Within a cell the log density is linear between the endpoint values; the
-    cell integral then has the closed form h * (e^{l1} - e^{l0}) / (l1 - l0).
-    Cells with a -inf endpoint are handled by clamping the slope.
-    """
-    h = np.diff(t)
-    l0, l1 = logg[:-1], logg[1:]
-    top = np.maximum(l0, l1)
-    both_dead = ~np.isfinite(top)
-    # Clamp -inf endpoints 45 nats below the live endpoint: the resulting mass
-    # error is below e^-45 relative and keeps the exponential inversion finite.
-    l0 = np.maximum(l0, top - 45.0)
-    l1 = np.maximum(l1, top - 45.0)
-    d = l1 - l0
-    # mass = h * e^top * (1 - e^{-|d|}) / |d|, with the d -> 0 limit h*e^top.
-    ad = np.abs(d)
-    ratio = np.where(ad < 1e-12, 1.0 - 0.5 * ad, -np.expm1(-ad) / np.where(ad == 0, 1.0, ad))
-    logm = top + np.log(h) + np.log(ratio)
-    logm[both_dead] = -np.inf
-    return logm, l0, l1
-
-
 class LogDensityGridSampler:
     """Inverse-CDF sampler for an unnormalized log density on (0, infinity).
 
     The log density is supplied as a function of log v.  The half line is
     mapped to (0, 1) by the compound coordinate of the log-v integrator, and
     the integrator's converged panels (at ``_REL_TOL`` and ``_MAX_SUBDIVISIONS``)
-    carry the CDF: each panel holds its K15 mass, spread over
-    piecewise-exponential cells through the panel edges and its 15 Kronrod nodes.
-    Draws invert the exponential within the selected cell and are returned as
-    log v.  A density the integrator cannot resolve raises ``QuadratureError``.
-    As for the integrator, the lv array it gets is read-only and may be shared.
+    carry the CDF: each panel is cut at its 15 Kronrod nodes into 16 cells, whose
+    masses integrate the interpolant of the panel's K15 values (``_CUM_WEIGHTS``),
+    so no point beyond the integrator's nodes is evaluated.  Draws invert the
+    exponential through a cell's end values (flat in a panel's two outer cells)
+    and are returned as log v.  A density the integrator cannot resolve raises
+    ``QuadratureError``.  As for the integrator, the lv array it gets is
+    read-only and may be shared.
     """
 
     def __init__(self, log_density_lv):
         panels = _log_integrate_unit(log_density_lv)
-        if panels.log_total == -np.inf:
-            raise ValueError("degenerate grid: log density is -inf everywhere")
+        if not np.isfinite(panels.log_total):  # -inf everywhere, or +inf somewhere
+            raise ValueError(f"degenerate grid: log density integrates to {panels.log_total}")
         order = np.argsort(panels.a)
-        a, b = panels.a[order], panels.b[order]
-        with np.errstate(all="ignore"):
-            ledge = _log_g(log_density_lv, np.append(a, 1.0))
-            if np.isnan(ledge).any():
-                raise QuadratureError("log integrand returned NaN")
-            t = np.append(np.column_stack([a, _panel_nodes(a, b).reshape(-1, 15)]).ravel(), 1.0)
-            logg = np.append(np.column_stack([ledge[:-1], panels.l15[order]]).ravel(), ledge[-1])
-            logm, l0, l1 = _cell_log_masses(t, logg)
-        # Rescale each panel's 16 cells to the panel's K15 mass.
-        logm = logm.reshape(len(a), 16)
-        top = logm.max(axis=1, keepdims=True)
-        rel = np.exp(logm - np.where(np.isfinite(top), top, 0.0))
-        masses = rel * (panels.mass[order] / np.maximum(rel.sum(axis=1), 1.0))[:, None]
+        a, b, l15 = panels.a[order], panels.b[order], panels.l15[order]
+        cum = (0.5 * (b - a))[:, None] * (np.exp(l15 - l15.max()) @ _CUM_WEIGHTS.T)
+        masses = np.maximum(np.diff(cum, axis=1, prepend=0.0), 0.0)
+        # Each cell's end values; a panel's outer cells are flat at their node's.
+        l0 = np.column_stack([l15[:, 0], l15])
+        l1 = np.column_stack([l15, l15[:, -1]])
+        masses[np.isneginf(np.maximum(l0, l1))] = 0.0
+        with np.errstate(invalid="ignore"):
+            # A -inf end gives a 45-nat ramp; two -inf ends (no mass) a flat cell.
+            slope = np.nan_to_num(np.clip(l1 - l0, -45.0, 45.0), nan=0.0)
         cdf = np.concatenate([[0.0], np.cumsum(masses)])
-        self._t, self._cdf, self._l0, self._l1, self._h = t, cdf / cdf[-1], l0, l1, np.diff(t)
+        t = np.append(np.column_stack([a, _panel_nodes(a, b).reshape(-1, 15)]).ravel(), 1.0)
+        self._t, self._cdf, self._slope, self._h = t, cdf / cdf[-1], slope.ravel(), np.diff(t)
 
     def sample_lv(self, rng) -> float:
         """One draw, returned as log v; exact even where v overflows a float."""
         u = rng.random()
+        # The CDF ends at exactly 1 > u, and side="right" steps over zero-mass cells.
         i = int(np.searchsorted(self._cdf, u, side="right")) - 1
-        i = min(max(i, 0), len(self._h) - 1)
-        w = self._cdf[i + 1] - self._cdf[i]
-        frac = (u - self._cdf[i]) / w if w > 0 else rng.random()
-        d = self._l1[i] - self._l0[i]
+        frac = (u - self._cdf[i]) / (self._cdf[i + 1] - self._cdf[i])
+        d = self._slope[i]
         if abs(d) < 1e-10:
             x = frac
         else:

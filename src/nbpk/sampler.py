@@ -138,6 +138,8 @@ def urn_step(params: ModelParamsR, config: Optional[Configuration], lv: float,
     urn = _urn(params, _class_key(params, config))
     logs = urn.log_g(np.array([lv]))[:, 0].tolist()
     top, a = max(logs), params.model.alpha or 0.0
+    if not math.isfinite(top):  # x - top would be NaN and the pick the last block
+        raise ValueError(f"class rows at log v = {lv} are not finite: {logs}")
     w = [math.exp(x - top) for x in logs]  # row 0 is the new block's
     blocks = ([(ni - a) * w[1] for ni in config.counts] if urn.row is None  # seated n_i - alpha
               else [w[urn.row[ni]] for ni in config.counts])

@@ -182,6 +182,12 @@ def test_show_config(capsys):
     ["coalescent", "--phi", "n"],
     # An empty grid would pass every check vacuously.
     ["validate", "--suite", "pd", "--n-max", "0"],
+    # So would no replications; none is not a zero p-value or a division by zero.
+    ["validate", "--suite", "hsolver", "--reps", "0"],
+    ["validate", "--suite", "vmoments", "--reps", "0"],
+    ["validate", "--suite", "gibbs", "--reps", "0"],
+    ["gibbs", *PD_ARGS, "--n", "2", "--reps", "-2"],
+    ["coalescent", "--counts", "2,1", "--reps", "-1"],
 ])
 def test_rejected_input_exits_2_without_traceback(argv, capsys):
     assert main(argv) == 2

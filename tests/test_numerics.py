@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.integrate import quad
 
 from nbpk import numerics
 from nbpk.levy_models import LevyModel, ModelParamsR
@@ -16,7 +17,7 @@ from nbpk.numerics import (
     log_integrate_halfline_logv,
 )
 from nbpk.partitions import Configuration
-from nbpk.posterior import _log_g_r_rows, log_eppf
+from nbpk.posterior import _log_g_r_row, _log_g_r_rows, log_eppf
 from nbpk.sampler import _class_key, _v_sampler, sample_v
 
 
@@ -26,6 +27,17 @@ def test_kronrod_weights_integrate_polynomials_to_degree_22():
         want = 0.0 if j % 2 else 2.0 / (j + 1)
         got = numerics._K15_WEIGHTS @ numerics._K15_NODES ** j
         assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_cumulative_weights_integrate_polynomials_to_each_node():
+    # Row j integrates the K15 interpolant from -1 to node j (the last row: to +1),
+    # exactly for every x^m of degree m <= 14; the last row is the K15 rule itself.
+    cum = numerics._CUM_WEIGHTS
+    np.testing.assert_allclose(cum[-1], numerics._K15_WEIGHTS, rtol=0, atol=1e-15)
+    ends = np.append(numerics._K15_NODES, 1.0)
+    for m in range(15):
+        want = (ends ** (m + 1) - (-1.0) ** (m + 1)) / (m + 1)
+        np.testing.assert_allclose(cum @ numerics._K15_NODES ** m, want, rtol=0, atol=1e-14)
 
 
 def test_embedded_gauss_rule_is_legendre_7():
@@ -252,13 +264,46 @@ def test_refinement_continues_from_round_one_without_evaluating_a_node_twice():
     assert all(lv is not numerics._MESH_LV for lv in seen[1:])
     nodes = np.concatenate(seen)
     assert nodes.size == 1710 and np.unique(nodes).size == nodes.size
-    # The grid sampler refines the same way, then evaluates only its panel edges.
+    # The grid sampler refines the same way and evaluates nothing else.
     seen.clear()
-    sampler = LogDensityGridSampler(_recording(lambda lv: rows(lv)[0], seen))
-    edges = seen.pop()
-    assert np.concatenate(seen).size == 1710 and edges.size == len(sampler._t) // 16 - 1
+    LogDensityGridSampler(_recording(lambda lv: rows(lv)[0], seen))
+    assert np.concatenate(seen).tobytes() == nodes.tobytes()
+
+
+@pytest.mark.parametrize("model,r,counts", [
+    (LevyModel.gamma(1.0), 2.0, (3, 2, 1)), (LevyModel.generalized_gamma(0.5), 2.0, (2, 1)),
+    (LevyModel.stable(0.5), 1.5, (2, 1)), (LevyModel.truncated_stable(0.5), 1.5, (3, 1))],
+    ids=["gamma", "gengamma", "stable", "truncstable"])
+def test_grid_sampler_cdf_matches_quad(model, r, counts):
+    # The CDF at the nodes of the 40 heaviest cells, and the draw's CDF at their
+    # midpoints, against quad of the pulled-back density on (0, t).
+    log_g = _log_g_r_row(ModelParamsR(model, r), counts)
+    sampler = LogDensityGridSampler(log_g)
+    t, cdf, slope = sampler._t, sampler._cdf, sampler._slope
+    shift = numerics._log_g(log_g, t[1:-1]).max()
+    g = lambda x: math.exp(numerics._log_g(log_g, np.array([x]))[0] - shift)
+    oracle = lambda x: quad(g, 0.0, x, epsrel=1e-13, limit=500)[0]
+    total = oracle(1.0)
+    for i in np.argsort(np.diff(cdf))[-40:]:
+        assert abs(cdf[i + 1] - oracle(t[i + 1]) / total) < 1e-9
+        d, mass = slope[i], cdf[i + 1] - cdf[i]
+        mid = cdf[i] + mass * (0.5 if abs(d) < 1e-10 else math.expm1(0.5 * d) / math.expm1(d))
+        assert abs(mid - oracle(0.5 * (t[i] + t[i + 1])) / total) < 1e-6
+
+
+def test_grid_sampler_gives_dead_cells_no_mass():
+    # A density cut off at v = 1: cells whose two ends are -inf lie beyond it.
+    log_f = lambda lv: np.where(lv < 0.0, lv, -np.inf)
+    sampler = LogDensityGridSampler(log_f)
+    with np.errstate(divide="ignore"):
+        ends = numerics._log_g(log_f, sampler._t)
+    dead = np.isneginf(ends[:-1]) & np.isneginf(ends[1:])
+    assert dead.sum() > 100 and not np.diff(sampler._cdf)[dead].any()
 
 
 def test_grid_sampler_degenerate_raises():
     with pytest.raises(ValueError):
         LogDensityGridSampler(lambda lv: np.full_like(np.asarray(lv, float), -np.inf))
+    # A +inf value would make every CDF entry NaN and every draw NaN.
+    with pytest.raises(ValueError):
+        LogDensityGridSampler(lambda lv: np.where(lv > 0.0, np.inf, -np.exp(lv)))

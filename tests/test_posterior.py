@@ -328,7 +328,7 @@ def test_mesh_path_matches_the_general_path_bitwise(params, monkeypatch):
     def run():
         samplers = [LogDensityGridSampler(f) for f in sampler_rows]
         return [log_integrate_halfline_logv(stack).tobytes()] + [
-            b"".join(a.tobytes() for a in (s._t, s._cdf, s._l0, s._l1)) for s in samplers]
+            b"".join(a.tobytes() for a in (s._t, s._cdf, s._slope)) for s in samplers]
 
     on_mesh = run()
     # Refinement's node map gives the mesh nodes the values round 1 gives them.

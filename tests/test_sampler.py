@@ -17,6 +17,7 @@ from nbpk.sampler import _class_key, _urn, kn_posterior_mc, run_chain, sample_v,
 # standard error
 GG_HEAVY_R = ModelParamsR(LevyModel.generalized_gamma(0.7), 10.0)
 PD_HALF = ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0)  # theta = 1
+GAMMA_1 = ModelParamsR(LevyModel.gamma(1.0), 2.0)
 
 
 def test_sample_v_moments_match_quadrature():
@@ -174,11 +175,18 @@ def test_urn_step_first_observation():
     assert rng.bit_generator.state == before  # no uniform spent
 
 
-@pytest.mark.parametrize("lv", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("config", [None, Configuration((1,))])
-def test_urn_step_rejects_non_finite_lv(config, lv):
-    with pytest.raises(ValueError, match="finite"):
-        urn_step(ModelParamsR(LevyModel.gamma(1.0), 2.0), config, lv, np.random.default_rng(0))
+@pytest.mark.parametrize("params,config,lv", [
+    *(pytest.param(GAMMA_1, config, lv, id=f"{name}-{lv}")
+      for name, config in (("None", None), ("config1", Configuration((1,))))
+      for lv in (math.nan, math.inf, -math.inf)),
+    # A finite lv at which the class rows overflow: [inf, inf] and [-inf, -inf].
+    pytest.param(GAMMA_1, Configuration((3, 1)), 1e308, id="gamma-rows-inf"),
+    pytest.param(ModelParamsR(LevyModel.truncated_stable(0.5), 1.5), Configuration((1,)), 1e308,
+                 id="truncstable-rows-neginf")])
+def test_urn_step_rejects_non_finite_lv(params, config, lv):
+    # The overflow itself is expected at lv = 1e308; the step must not pick past it.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        urn_step(params, config, lv, np.random.default_rng(0))
 
 
 def test_run_chain_n1():
