@@ -128,7 +128,12 @@ def _log_lower_gamma_lv(s, lv):
     """
     lv, s = np.asarray(lv, float), np.asarray(s, float)
     shape = np.broadcast(s, lv).shape
-    (s, log_s, lgamma_s), lv = _shape_constants(tuple(s.ravel().tolist())), lv.ravel()
+    return _log_lower_gammas(_shape_constants(tuple(s.ravel().tolist())), lv.ravel()).reshape(shape)
+
+
+def _log_lower_gammas(constants, lv):
+    """log gamma(s, e^lv) from ``_shape_constants``: a row per shape, a column per point of lv."""
+    s, log_s, lgamma_s = constants
     with np.errstate(over="ignore"):
         x = np.exp(lv)
     series = x < s[:, None] + 1.0  # one row per shape, one column per point
@@ -137,7 +142,7 @@ def _log_lower_gamma_lv(s, lv):
     ss, xs = s[si], x[sj]
     out[series] = ss * lv[sj] - xs - log_s[si] + np.log(hyp1f1(1.0, ss + 1.0, xs))
     out[~series] = lgamma_s[ti] + np.log1p(-gammaincc(s[ti], x[tj]))
-    return out.reshape(shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +171,16 @@ def _kernel_features(model: LevyModel, sizes, lv) -> np.ndarray:
         return np.stack([np.logaddexp(0.0, a * lv) if kind is ModelKind.STABLE
                          else np.log1p(th * f) if kind is ModelKind.GAMMA else a * f, f])
     # psi by integration by parts of its defining integral over (0, 1]
-    shapes = _shape_constants((1.0 - a, *(m - a for m in sizes)))[0]
-    log_gammas = _log_lower_gamma_lv(shapes.reshape((-1,) + (1,) * lv.ndim), lv)
-    with np.errstate(over="ignore"):
-        log_psi = np.logaddexp(-np.exp(lv), a * lv + log_gammas[0])
-    return np.concatenate([log_psi[None], f[None], log_gammas[1:]])
+    constants = _shape_constants((1.0 - a, *(m - a for m in sizes)))
+    with np.errstate(over="ignore"):  # v = e^lv may overflow to inf
+        if lv.size != 1:
+            g = _log_lower_gammas(constants, lv.ravel()).reshape((-1,) + lv.shape)
+            return np.concatenate([np.logaddexp(-np.exp(lv), a * lv + g[0])[None], f[None], g[1:]])
+        lv1 = lv.item()  # one point, as an urn step reads it: numpy scalars, the column's bits
+        x = np.exp(lv1)
+    g = [s * lv1 - x - log_s + np.log(hyp1f1(1.0, s + 1.0, x)) if x < s + 1.0
+         else lgamma_s + np.log1p(-gammaincc(s, x)) for s, log_s, lgamma_s in zip(*constants)]
+    return np.array([np.logaddexp(-x, a * lv1 + g[0]), lv1, *g[1:]]).reshape((-1,) + lv.shape)
 
 
 def log_kernels_lv(model: LevyModel, sizes, lv) -> np.ndarray:

@@ -162,10 +162,10 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
 
         while True:
             m = l15.max(axis=(-2, -1))
-            if np.isnan(m).any():  # the max of a row holding a NaN is NaN
-                raise QuadratureError("log integrand returned NaN")
             # A row that is -inf everywhere is identically zero: zero masses, log total -inf.
             dead = ~np.isfinite(m)
+            if dead.any() and not np.isneginf(m[dead]).all():  # a row's max: NaN if it holds one
+                raise QuadratureError(f"log integrand returned {m[dead].max()}")
             live_m = np.where(dead, 0.0, m)[..., None, None]
             sums = (0.5 * (b - a))[:, None] * (np.exp(l15 - live_m) @ _RULE_COLUMNS)
             mass, err = sums[..., 0], np.abs(sums[..., 1])
@@ -238,7 +238,7 @@ class LogDensityGridSampler:
 
     def __init__(self, log_density_lv):
         panels = _log_integrate_unit(log_density_lv)
-        if not np.isfinite(panels.log_total):  # -inf everywhere, or +inf somewhere
+        if not np.isfinite(panels.log_total):  # -inf everywhere: the engine refuses NaN and +inf
             raise ValueError(f"degenerate grid: log density integrates to {panels.log_total}")
         order = np.argsort(panels.a)
         a, b, l15 = panels.a[order], panels.b[order], panels.l15[order]

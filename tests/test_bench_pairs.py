@@ -102,10 +102,36 @@ def test_gains_line_prints_attempted_and_the_rss_fit_beside_the_gains():
     attempted = {"parent": 22250, "change": 26250}
     fit = bench_pairs.rss_fit(pairs, attempted, 0.1)
     summary = {"gains": ["op_ms_tail", "ops_per_s"], "attempted": attempted, "peak_rss_fit": fit}
+    share = (26250 / 22250 - 1.0) / fit["gain_at_rss_bound"]
+    assert 0.0 < share < 1.0
     assert bench_pairs.gains_line("urn_warm", summary) == (
         "urn_warm gains: op_ms_tail, ops_per_s; attempted: parent 22250, change 26250; "
-        f"harness_mb: +1.95; gain_at_rss_bound: {fit['gain_at_rss_bound']:+.1%} ops")
+        f"harness_mb: +1.95; gain_at_rss_bound: {fit['gain_at_rss_bound']:+.1%} ops; "
+        f"attempted gain: +18.0%, {share:.0%} of gain_at_rss_bound")
     summary = {"gains": [], "attempted": {"parent": 1000, "change": 1000}, "peak_rss_fit": None}
     assert bench_pairs.gains_line("table", summary) == (
         "table gains: none; attempted: parent 1000, change 1000; "
-        "harness_mb: no fit; gain_at_rss_bound: no fit")
+        "harness_mb: no fit; gain_at_rss_bound: no fit; attempted gain: +0.0%")
+
+
+def test_gains_line_flags_an_ops_gain_past_the_rss_headroom():
+    # 10 MB + 0.5 KB per op: at 22250 ops the 0.1 bound holds +19.2 % ops, and the
+    # change runs +89.9 %.
+    parent_ops = [20000 + 500 * i for i in range(10)]
+    pairs = []
+    for a in parent_ops:
+        pairs += _pairs([1.0], [1.0], (a, a + 20000), (10.0 + a / 2048, 10.0 + (a + 20000) / 2048))
+    attempted = {"parent": 22250, "change": 42250}
+    fit = bench_pairs.rss_fit(pairs, attempted, 0.1)
+    assert fit["gain_at_rss_bound"] == pytest.approx(0.1 * (1.0 + 10.0 / (22250 / 2048)))
+    share = (42250 / 22250 - 1.0) / fit["gain_at_rss_bound"]
+    assert share > 1.0
+    line = bench_pairs.gains_line("urn_warm", {"gains": [], "attempted": attempted,
+                                               "peak_rss_fit": fit})
+    assert line.endswith(f"attempted gain: +89.9%, {share:.0%} of gain_at_rss_bound; "
+                         "rss headroom exceeded")
+    # Within the headroom there is no flag.
+    attempted = {"parent": 22250, "change": 22250 + 500}
+    line = bench_pairs.gains_line("urn_warm", {"gains": [], "attempted": attempted,
+                                               "peak_rss_fit": fit})
+    assert "exceeded" not in line and line.endswith("of gain_at_rss_bound")

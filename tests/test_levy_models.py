@@ -11,6 +11,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nbpk import levy_models
@@ -18,6 +20,7 @@ from nbpk.levy_models import (
     LevyModel,
     ModelKind,
     ModelParamsR,
+    _kernel_features,
     _log_lower_gamma_lv,
     log_kernels_lv,
     log_pi_n_lv,
@@ -199,6 +202,55 @@ def test_kernel_rows_equal_the_one_size_kernels_bitwise(model, lv):
     # psi's row does not depend on the sizes asked for, nor a size's row on the others.
     assert log_kernels_lv(model, (), lv).tobytes() == rows[0].tobytes()
     assert log_kernels_lv(model, sizes[::-1], lv)[1:].tobytes() == rows[:0:-1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(min_value=0.05, max_value=0.95),
+       sizes=st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=6),
+       lv=st.floats(min_value=-800.0, max_value=800.0))
+@example(alpha=0.5, sizes=[1, 2, 3], lv=0.3)
+def test_one_point_kernel_rows_equal_a_column_bitwise(alpha, sizes, lv):
+    # An lv of one point reads the kernel in scalars; a column of two reads it with masks.
+    # Both give the same bits, also at each shape's switch between the series and the
+    # complement (x = s + 1) and its neighbours, where v underflows, and where it overflows.
+    model, sizes = LevyModel.truncated_stable(alpha), tuple(sizes)
+    switches = [math.log(s + 1.0) for s in (1.0 - alpha, *(m - alpha for m in sizes))]
+    for point in (lv, -745.0, 709.78, 800.0, *switches,
+                  *(np.nextafter(t, d) for t in switches for d in (-np.inf, np.inf))):
+        one = log_kernels_lv(model, sizes, [point])
+        column = log_kernels_lv(model, sizes, [point, 0.5])
+        assert one.shape == (1 + len(sizes), 1)
+        assert one[:, 0].tobytes() == column[:, 0].tobytes(), point
+
+
+def test_one_point_kernel_features_against_mpmath():
+    # The one-point read's own values: log psi = log(e^-v + v^alpha gamma(1 - alpha, v)),
+    # then log gamma(m - alpha, v) per size (log pi_m adds an affine term in lv to it).
+    sizes = (1, 2, 7, 50, 500, 1000)
+    for alpha in (0.1, 0.5, 0.9):
+        model = LevyModel.truncated_stable(alpha)
+        for lv in np.concatenate([np.linspace(-800.0, 800.0, 21), np.linspace(-3.0, 7.5, 22)]):
+            got = _kernel_features(model, sizes, np.array([lv]))[:, 0]
+            assert got[1] == lv
+            with mpmath.workdps(40):
+                v = mpmath.exp(lv)
+                psi = mpmath.exp(-v) + v ** alpha * mpmath.gammainc(1 - alpha, 0, v)
+            # log psi is near 0 for small v: 1e-13 relative on psi itself
+            assert got[0] == pytest.approx(float(mpmath.log(psi)), rel=1e-13, abs=1e-13), lv
+            want = [_mp_log_lower_gamma(m - alpha, lv) for m in sizes]
+            np.testing.assert_allclose(got[2:], want, rtol=1e-13, atol=0,
+                                       err_msg=f"alpha = {alpha}, lv = {lv}")
+
+
+@pytest.mark.parametrize("lv", [np.array([0.3]), np.linspace(-5.0, 5.0, 7), _MESH_LV],
+                         ids=["one-point", "column", "mesh"])
+def test_a_warm_kernel_call_looks_its_shape_constants_up_once(lv):
+    model, sizes = LevyModel.truncated_stable(0.35), (1, 2, 5)
+    _kernel_features(model, sizes, lv)  # warm
+    before = levy_models._shape_constants.cache_info()
+    _kernel_features(model, sizes, lv)
+    after = levy_models._shape_constants.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_parameter_validation():

@@ -125,6 +125,11 @@ def test_nan_integrand_raises():
         log_integrate_halfline_logv(lambda lv: np.where(lv > 0.0, np.nan, -np.exp(lv)))
 
 
+def test_posinf_integrand_raises():
+    with pytest.raises(QuadratureError):
+        log_integrate_halfline_logv(lambda lv: np.where(lv > 0.0, np.inf, -np.exp(lv)))
+
+
 def test_nonconvergence_carries_best_estimate(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 2)
     # Endpoint-singular integrand that two subdivisions cannot resolve.
@@ -304,6 +309,6 @@ def test_grid_sampler_gives_dead_cells_no_mass():
 def test_grid_sampler_degenerate_raises():
     with pytest.raises(ValueError):
         LogDensityGridSampler(lambda lv: np.full_like(np.asarray(lv, float), -np.inf))
-    # A +inf value would make every CDF entry NaN and every draw NaN.
-    with pytest.raises(ValueError):
+    # A +inf value would make every CDF entry NaN and every draw NaN; the engine refuses it.
+    with pytest.raises(QuadratureError):
         LogDensityGridSampler(lambda lv: np.where(lv > 0.0, np.inf, -np.exp(lv)))

@@ -29,9 +29,10 @@ did), and ``gains`` every metric that meets the gain rule: the change wins at
 least 9 pairs in 10 (a tie counts for neither side) and its median is better
 than the parent's by more than the parent's interquartile range.  The script
 prints both to stderr as each workload finishes, the gains beside each side's
-median ``attempted``, ``harness_mb`` and ``gain_at_rss_bound``, so a
-regression, or a gain that the ``peak_rss_mb`` bound cannot hold, shows before
-the full comparison is read.
+median ``attempted``, ``harness_mb``, ``gain_at_rss_bound`` and the change's
+attempted-ops gain as a share of it (with ``rss headroom exceeded`` past
+100 %), so a regression, or a gain that the ``peak_rss_mb`` bound cannot hold,
+shows before the full comparison is read.
 """
 
 from __future__ import annotations
@@ -146,14 +147,20 @@ def rss_fit(pairs, attempted, bound):
 
 def gains_line(workload, summary):
     """The stderr line of a finished workload: its gains, each side's median ``attempted``,
-    and the ``harness_mb`` and ``gain_at_rss_bound`` of its RSS fit."""
+    the ``harness_mb`` and ``gain_at_rss_bound`` of its RSS fit, and the change's gain in
+    attempted ops as a share of that bound's gain, flagged past 100 %."""
     fit, attempted = summary["peak_rss_fit"], summary["attempted"]
     bound_gain = fit and fit["gain_at_rss_bound"]
+    ops_gain = attempted["change"] / attempted["parent"] - 1.0
+    share = ops_gain / bound_gain if bound_gain else None
     return (f"{workload} gains: " + (", ".join(summary["gains"]) or "none")
             + f"; attempted: parent {attempted['parent']:.0f}, change {attempted['change']:.0f}"
             + "; harness_mb: " + (f"{fit['harness_mb']:+.2f}" if fit else "no fit")
             + "; gain_at_rss_bound: "
-            + (f"{bound_gain:+.1%} ops" if bound_gain is not None else "no fit"))
+            + (f"{bound_gain:+.1%} ops" if bound_gain is not None else "no fit")
+            + f"; attempted gain: {ops_gain:+.1%}"
+            + (f", {share:.0%} of gain_at_rss_bound" if share is not None else "")
+            + ("; rss headroom exceeded" if share is not None and share > 1.0 else ""))
 
 
 def main(argv=None):
