@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import checks
-from .coalescent import (RateFunction, RateKind, _lattice, h_solver_exact,
+from .coalescent import (_LATTICE_LIMIT, RateFunction, RateKind, _lattice, h_solver_exact,
                          history_to_json_lines, simulate_backward)
 from .levy_models import LevyModel, ModelParamsR, _pi_coefficients, _shape_constants
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
@@ -214,6 +214,7 @@ def _show_config():
     print("quadrature.max_subdiv     =", _MAX_SUBDIVISIONS)
     print("default.seed              =", DEFAULT_SEED)
     print("default.phi               =", RateFunction().kind.value)
+    print("coalescent.lattice_limit  =", _LATTICE_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .levy_models import ModelParamsR
 from .partitions import Configuration
@@ -145,8 +146,10 @@ def _lattice(start: Tuple[int, ...]):
 
     Returns the reachable states as ``Configuration``s ordered by (n, sorted
     counts), so (1,) comes first and every later state has events; the start's
-    index; and, for each (state n, block i) in that order, the indices of n and
-    of n - e_i and the weight n_i/n.
+    index; for each (state n, block i) in that order, the indices of n and
+    of n - e_i and the weight n_i/n; and each state's n and the probability
+    that the removal chain from the start, which takes an observation from
+    block i with probability n_i/n, visits it.
     """
     seen, frontier = {start}, [start]
     while frontier:
@@ -159,9 +162,14 @@ def _lattice(start: Tuple[int, ...]):
     index = {s: i for i, s in enumerate(states)}
     pattern = [(row, index[nxt], ni / sum(s))
                for row, s in enumerate(states[1:], start=1) for ni, nxt in _decrements(s)]
+    visit = np.zeros(len(states))
+    visit[index[start]] = 1.0
+    for row, col, weight in reversed(pattern):  # n falls: a state's mass is whole before it moves
+        visit[col] += visit[row] * weight
     rows, cols, weights = np.array(pattern, float).reshape(-1, 3).T
     configs = tuple(map(Configuration, states))
-    return configs, index[start], rows.astype(int), cols.astype(int), weights
+    level = np.array([c.n for c in configs])
+    return configs, index[start], rows.astype(int), cols.astype(int), weights, level, visit
 
 
 # The Taylor coefficients 1/j!, j = 0..18, and a zero: row k weighs I, A, A^2, A^3 in (A^4)^k.
@@ -191,6 +199,40 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expm_times(t_grid: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """exp(t G) for every t in t_grid, stacked; raises where t G leaves float range."""
+    with np.errstate(over="ignore"):  # _expm scales t G by twice its 1-norm: finite too
+        tg = t_grid[:, None, None] * gen
+        if not np.isfinite(2.0 * np.abs(tg).sum(axis=-2)).all():
+            raise ValueError("t G leaves float range: a rate or a time is too large")
+    return _expm(tg)
+
+
+def _level_law(n: int, kind: RateKind, t_grid: np.ndarray) -> np.ndarray:
+    """P(L(t) = m | L(0) = n) for m = 1..n, a row per time, under a built-in clock.
+
+    The clock depends on n alone, so the number of observations L is a pure
+    death chain n -> n - 1 at rate phi(n), stopped at one lineage.
+    """
+    t = t_grid[:, None]
+    if kind is RateKind.TOTAL_N:
+        # Each of n lineages dies at rate 1: binomial for m >= 2, and m = 1 takes the
+        # binomial's m = 0 and m = 1 terms.  Positive log terms only (1 minus a sum
+        # loses small probabilities), with 0 log 0 = 0, so t = 0 gives level n.
+        m = np.arange(1, n + 1)
+        q = -np.expm1(-t)  # 1 - e^-t
+        log_law = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1) - m * t + xlogy(n - m, q)
+        log_law[:, :1] = xlogy(n - 1, q) + np.log(q + n * np.exp(-t))
+        return np.exp(log_law)
+    m = np.arange(1.0, n + 1.0)
+    rate = m * (m - 1.0) / 2.0
+    gen = np.diag(-rate) + np.diag(rate[1:], -1)
+    # Level n's row, one time at a time: a stack of times would hold a dozen n x n
+    # matrices for each (about 1 GB for 10 times at n = 1000).
+    rows = [_expm_times(t_grid[j:j + 1], gen)[0, -1] for j in range(t_grid.size)]
+    return np.array(rows).reshape(-1, n)
+
+
 def h_solver_exact(config: Configuration, phi: RateFunction,
                    h0: Optional[Callable[[Configuration], float]] = None,
                    t_grid: Sequence[float] = (0.0, 1.0)) -> np.ndarray:
@@ -199,30 +241,39 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     dH(n,t)/dt = -phi(n) H(n,t) + phi(n) sum_i (n_i/n) H(n - e_i, t), with the
     single-lineage state absorbing.  h0 defaults to the indicator of the
     terminal state, which makes H the absorption probability by time t.
+
+    Under a built-in clock the number of observations L(t) is a death chain,
+    independent of X_m, the removal chain's class at level m, so
+    H(start, t) = sum_m P(L(t) = m) E[h0(X_m)]: the default h0 needs
+    P(L(t) = 1) alone, at any n.  Another h0 (through the lattice's visit
+    probabilities), or a custom phi (through exp(t G) on the lattice of
+    classes), needs n <= 12.
     """
+    t_grid = np.asarray(t_grid, float)
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
+        raise ValueError("times must be a one-dimensional sequence, finite and nonnegative")
+    built_in = phi.kind is not RateKind.CUSTOM
+    if built_in and h0 is None:
+        return _level_law(config.n, phi.kind, t_grid)[:, 0]
     if config.n > _LATTICE_LIMIT:
         raise ValueError(
             f"configuration lattice for n = {config.n} is too large to enumerate "
             f"(limit {_LATTICE_LIMIT}); use Monte Carlo via simulate_backward")
     if h0 is None:
         h0 = lambda c: 1.0 if c.sorted_counts() == (1,) else 0.0
-    t_grid = np.asarray(t_grid, float)
-    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
-        raise ValueError("times must be a one-dimensional sequence, finite and nonnegative")
 
-    configs, start, rows, cols, weights = _lattice(config.sorted_counts())
+    configs, start, rows, cols, weights, level, visit = _lattice(config.sorted_counts())
+    y0 = np.array([h0(c) for c in configs], float)
+    if built_in:  # E[h0(X_m)] per level m, from the visit probabilities
+        return _level_law(config.n, phi.kind, t_grid) @ np.bincount(
+            level, visit * y0, minlength=config.n + 1)[1:]
     rate = np.array([0.0] + [phi(c) for c in configs[1:]])  # no event leaves (1,)
     gen = np.zeros((rate.size, rate.size))
     live = np.arange(1, rate.size)
     gen[live, live] = -rate[1:]
     np.add.at(gen, (rows, cols), rate[rows] * weights)  # phi(n) * (n_i/n): no overflow
-    y0 = np.array([h0(c) for c in configs], float)
     # H(t) = exp(t G) h0 for the generator G, all times in one stack.
-    with np.errstate(over="ignore"):  # _expm scales t G by twice its 1-norm: finite too
-        tg = t_grid[:, None, None] * gen
-        if not np.isfinite(2.0 * np.abs(tg).sum(axis=-2)).all():
-            raise ValueError("t G leaves float range: a rate or a time is too large")
-    return _expm(tg)[:, start] @ y0
+    return _expm_times(t_grid, gen)[:, start] @ y0
 
 
 def ratio_integrals(params: ModelParamsR, config: Configuration, i: int) -> float:

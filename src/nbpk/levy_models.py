@@ -196,7 +196,11 @@ def log_kernels_lv(model: LevyModel, sizes, lv) -> np.ndarray:
     coef = np.reshape([pi[m] for m in sizes], (len(sizes), 2) + (1,) * (features.ndim - 1))
     out = np.concatenate([features[:1], coef[:, 0] + coef[:, 1] * features[1]])
     if model.kind is ModelKind.TRUNCATED_STABLE:
-        out[1:] += features[2:]
+        with np.errstate(invalid="ignore"):  # inf - inf at v = 0, replaced by its limit
+            out[1:] += features[2:]
+        # v^(alpha - m) gamma(m - alpha, v) -> 1/(m - alpha) as v -> 0
+        at_zero = coef[:, 0] - np.log(np.subtract(sizes, model.alpha)).reshape(coef[:, 0].shape)
+        out[1:] = np.where(features[1] == -np.inf, at_zero, out[1:])
     return out
 
 

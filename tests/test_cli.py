@@ -6,11 +6,12 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from nbpk import sampler
 from nbpk.cli import _SUITES, main
-from nbpk.coalescent import RateFunction
+from nbpk.coalescent import _LATTICE_LIMIT, RateFunction
 from nbpk.numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME
 
 PD_ARGS = ["--model", "gengamma", "--alpha", "0.5", "--r", "2"]
@@ -134,6 +135,19 @@ def test_coalescent_solve_h(capsys):
     assert h0 == pytest.approx(0.0, abs=1e-9)  # not yet absorbed at t = 0
 
 
+@pytest.mark.parametrize("phi", ["n", "n2"])
+def test_coalescent_solve_h_at_n_1000(phi, capsys):
+    # Far beyond the lattice: the default h0 under a built-in clock reads the level chain.
+    rc = main(["coalescent", "--counts", "1000", "--solve-h", "--phi", phi,
+               "--t-grid", "0,1,2", "--csv"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "counts,t,H" and len(lines) == 4
+    h = np.array([float(line.split(",")[-1]) for line in lines[1:]])
+    assert np.isfinite(h).all() and (h >= 0.0).all() and (h <= 1.0).all()
+    assert (np.diff(h) >= 0.0).all()
+
+
 def test_coalescent_simulate(capsys):
     rc = main(["coalescent", "--counts", "3", "--reps", "2", "--seed", "1"])
     assert rc == 0
@@ -159,13 +173,15 @@ def test_show_config(capsys):
     printed = {key.strip(): value.strip() for key, value in (l.split(" = ", 1) for l in lines)}
     assert set(printed) == {"quadrature.rule", "quadrature.initial_panels",
                             "quadrature.initial_points", "quadrature.rel_tol",
-                            "quadrature.max_subdiv", "default.seed", "default.phi"}
+                            "quadrature.max_subdiv", "default.seed", "default.phi",
+                            "coalescent.lattice_limit"}
     assert printed["quadrature.rule"] == _RULE_NAME
     assert int(printed["quadrature.initial_panels"]) == _INITIAL_PANELS
     assert int(printed["quadrature.initial_points"]) == _MESH_T.size == 15 * _INITIAL_PANELS
     assert float(printed["quadrature.rel_tol"]) == _REL_TOL
     assert int(printed["quadrature.max_subdiv"]) == _MAX_SUBDIVISIONS
     assert printed["default.phi"] == RateFunction().kind.value
+    assert int(printed["coalescent.lattice_limit"]) == _LATTICE_LIMIT
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -231,9 +232,13 @@ def test_h_solver_matches_monte_carlo():
 
 
 def test_h_solver_rejects_large_n():
+    # Only the lattice routes, a custom phi or a given h0, enumerate the classes below n.
     phi = RateFunction(RateKind.TOTAL_N)
-    with pytest.raises(ValueError):
-        h_solver_exact(Configuration((13,)), phi)
+    with pytest.raises(ValueError, match="too large"):
+        h_solver_exact(Configuration((13,)), RateFunction(RateKind.CUSTOM, custom=lambda c: 1.0))
+    with pytest.raises(ValueError, match="too large"):
+        h_solver_exact(Configuration((13,)), phi, h0=lambda c: 1.0)
+    assert h_solver_exact(Configuration((13,)), phi).shape == (2,)
     with pytest.raises(ValueError):
         h_solver_exact(Configuration((2,)), phi, t_grid=(-1.0,))
 
@@ -321,9 +326,69 @@ def test_h_solver_calls_phi_once_per_state_with_an_event_and_never_at_one_lineag
     assert per_solve[0] == per_solve[1] == per_solve[2]
     assert per_solve[0] == sorted(set(per_solve[0]), key=lambda s: (sum(s), s))
     assert per_solve[0][:2] == [(1, 1), (2,)] and per_solve[0][-1] == (4, 2, 2, 1)
+    assert results[0] == results[1] == results[2]
+    # The built-in clock takes the level chain: the same H, by another route.
     want = h_solver_exact(Configuration((4, 2, 2, 1)), RateFunction(RateKind.TOTAL_N),
-                          t_grid=(0.5, 2.0)).tobytes()
-    assert results == [want] * 3
+                          t_grid=(0.5, 2.0))
+    assert np.abs(np.frombuffer(results[0]) - want).max() < 1e-14
+
+
+BUILT_IN_RATES = [(RateKind.TOTAL_N, lambda c: float(c.n)),
+                  (RateKind.TOTAL_N_CHOOSE_2, lambda c: c.n * (c.n - 1) / 2.0)]
+H0S = {"absorption": None, "one": lambda c: 1.0, "k/n": lambda c: c.k / c.n}
+
+
+@pytest.mark.parametrize("kind, rate", BUILT_IN_RATES, ids=["n", "n2"])
+def test_level_route_matches_the_lattice_route_for_every_class_up_to_12(kind, rate):
+    # A custom phi with the built-in rates exponentiates the generator on the lattice.
+    built_in, custom = RateFunction(kind), RateFunction(RateKind.CUSTOM, custom=rate)
+    t_grid = (0.0, 0.5, 1.0, 2.0)
+    worst = 0.0
+    for start in [m.to_configuration() for n in range(1, 13) for m in enumerate_afs(n)]:
+        for h0 in H0S.values():
+            got = h_solver_exact(start, built_in, h0=h0, t_grid=t_grid)
+            want = h_solver_exact(start, custom, h0=h0, t_grid=t_grid)
+            worst = max(worst, np.abs(got - want).max())
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("kind", [RateKind.TOTAL_N, RateKind.TOTAL_N_CHOOSE_2], ids=["n", "n2"])
+def test_h_at_time_zero_is_h0_at_the_start(kind):
+    phi = RateFunction(kind)
+    for counts in [(1,), (2,), (3, 2, 1), (1,) * 12, (5, 4, 2, 1)]:
+        start = Configuration(counts)
+        for name, h0 in H0S.items():
+            want = float(start.n == 1) if h0 is None else h0(start)
+            assert h_solver_exact(start, phi, h0=h0, t_grid=(0.0,))[0] == want, (counts, name)
+    assert h_solver_exact(Configuration((1000,)), phi, t_grid=(0.0,))[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_linear_death_absorption_against_its_closed_form(n):
+    # P(one lineage by t) = (1 - e^-t)^n + n e^-t (1 - e^-t)^(n-1), from mpmath; 1 minus
+    # the other levels' mass would lose every value below about 1e-16.
+    t_grid = (0.25, 0.5, 1.0, 2.0, 5.0, 10.0) if n == 200 else (2.0, 3.0, 5.0, 10.0)
+    got = h_solver_exact(Configuration((n // 2, n // 4, n // 4)), RateFunction(RateKind.TOTAL_N),
+                         t_grid=t_grid)
+    with mpmath.workdps(50):
+        want = []
+        for t in t_grid:
+            e = mpmath.exp(-mpmath.mpf(t))
+            want.append(float((1 - e) ** n + n * e * (1 - e) ** (n - 1)))
+    assert min(want) < 1e-30
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind, t", [(RateKind.TOTAL_N, 4.6), (RateKind.TOTAL_N_CHOOSE_2, 2.0)],
+                         ids=["n", "n2"])
+def test_absorption_at_n_100_matches_monte_carlo(kind, t):
+    # Beyond the lattice: the level route's absorption probability by t against the
+    # share of simulated histories that reach one lineage by then.
+    phi, start, reps = RateFunction(kind), Configuration((40, 30, 20, 5, 3, 1, 1)), 800
+    exact = h_solver_exact(start, phi, t_grid=(t,))[0]
+    hits = sum(simulate_backward(start, phi, seed=70_000 + j).events[-1].time <= t
+               for j in range(reps))
+    assert abs(hits / reps - exact) < 3 * math.sqrt(exact * (1.0 - exact) / reps)
 
 
 def test_history_json_lines():

@@ -155,6 +155,21 @@ def test_truncated_stable_pi_n_where_v_underflows():
     assert got == pytest.approx(math.log(0.5 / 1.5), abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_truncated_stable_kernels_at_v_zero(alpha):
+    # lv = -inf is v = 0 itself: psi(0) = 1 and pi_m(0) = alpha / (m - alpha), read at one
+    # point or in a column, whose finite points keep their bits.
+    model, sizes = LevyModel.truncated_stable(alpha), (1, 2, 7, 500)
+    want = [math.log(alpha / (m - alpha)) for m in sizes]
+    assert log_pi_n_lv(model, 2, -math.inf) == pytest.approx(want[1], rel=1e-15)
+    for lv in ([-math.inf], [-math.inf, 0.3]):
+        rows = log_kernels_lv(model, sizes, lv)
+        assert rows[0, 0] == 0.0
+        assert rows[1:, 0] == pytest.approx(want, rel=1e-15)
+    finite = log_kernels_lv(model, sizes, [0.3, 0.5])[:, 0]
+    assert rows[:, 1].tobytes() == finite.tobytes()
+
+
 def test_log_lower_gamma_kernel_against_mpmath():
     lvs = np.concatenate([np.linspace(-800.0, 800.0, 81), np.linspace(-3.0, 7.5, 43)])
     shapes = [n - 0.5 for n in (1, 2, 7, 50, 500, 1000)]
