@@ -133,6 +133,15 @@ def test_configuration_edits():
         c.remove_one(5)
 
 
+@pytest.mark.xfail(reason="a negative index grows the last block")
+def test_configuration_edits_refuse_a_negative_block_index():
+    c = Configuration((3, 1))
+    with pytest.raises(IndexError):
+        c.remove_one(-1)
+    with pytest.raises(IndexError):
+        c.add_one(-1)
+
+
 def test_configuration_parse_roundtrip():
     c = Configuration.parse("3,2,1")
     assert c.counts == (3, 2, 1)
