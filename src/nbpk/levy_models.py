@@ -40,7 +40,8 @@ class LevyModel:
     """An intensity specification.
 
     alpha is the stability index in (0,1) (Stable, GeneralizedGamma,
-    TruncatedStable); theta > 0 is the mass parameter of the Gamma model.
+    TruncatedStable); theta > 0 is the mass parameter of the Gamma model.  Each
+    family takes only its own parameter: the urn reads alpha wherever it is set.
     """
 
     kind: ModelKind
@@ -48,13 +49,16 @@ class LevyModel:
     theta: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind in (ModelKind.STABLE, ModelKind.GENERALIZED_GAMMA,
-                         ModelKind.TRUNCATED_STABLE):
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ValueError(f"alpha must lie strictly in (0,1), got {self.alpha}")
-        elif self.kind is ModelKind.GAMMA:
+        if self.kind is ModelKind.GAMMA:
             if self.theta is None or not (0.0 < self.theta < math.inf):
                 raise ValueError(f"theta must be positive and finite, got {self.theta}")
+            if self.alpha is not None:
+                raise ValueError(f"the gamma family takes no alpha, got {self.alpha}")
+        else:
+            if self.alpha is None or not (0.0 < self.alpha < 1.0):
+                raise ValueError(f"alpha must lie strictly in (0,1), got {self.alpha}")
+            if self.theta is not None:
+                raise ValueError(f"the {self.kind.value} family takes no theta, got {self.theta}")
         object.__setattr__(self, "_hash", hash((self.kind, self.alpha, self.theta)))
 
     def __hash__(self):  # hashed once: every lru_cache lookup hashes the model

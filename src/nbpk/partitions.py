@@ -67,6 +67,8 @@ class Configuration:
 
     def add_one(self, i: int) -> "Configuration":
         counts = list(self.counts)
+        if not (0 <= i < len(counts)):
+            raise IndexError(f"block index {i} out of range")
         counts[i] += 1
         return Configuration(tuple(counts))
 

@@ -282,7 +282,6 @@ def test_parameter_validation():
         ModelParamsR(LevyModel.gamma(1.0), 0.0)
 
 
-@pytest.mark.xfail(reason="a parameter the family does not read is kept")
 def test_a_parameter_the_family_does_not_read_is_refused():
     # The gamma EPPF has alpha = 0, but the urn seats blocks with n_i - alpha from
     # model.alpha: a stray alpha would sample another law than the one evaluated.

@@ -133,7 +133,6 @@ def test_configuration_edits():
         c.remove_one(5)
 
 
-@pytest.mark.xfail(reason="a negative index grows the last block")
 def test_configuration_edits_refuse_a_negative_block_index():
     c = Configuration((3, 1))
     with pytest.raises(IndexError):
