@@ -36,7 +36,6 @@ __all__ = [
     "h_solver_exact",
     "ratio_integrals",
     "history_to_json_lines",
-    "history_to_newick",
 ]
 
 _LATTICE_LIMIT = 12
@@ -177,35 +176,39 @@ _TAYLOR_BLOCKS = np.append(1.0 / np.cumprod([1.0, *range(1, 19)]), 0.0).reshape(
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix in the stack a, shape (times, d, d), by scaling and squaring.
+    """exp(a) for one square matrix a, by scaling and squaring.
 
-    Each matrix is scaled to 1-norm <= 1/2, where a degree-18 Taylor polynomial
-    has truncation error below 0.5^19 / 19! ~ 2e-23 relative, and squared back.
-    Paterson-Stockmeyer evaluates it in 7 batched products: Horner's rule in A^4.
+    a is scaled to 1-norm <= 1/2, where a degree-18 Taylor polynomial has
+    truncation error below 0.5^19 / 19! ~ 2e-23 relative, and squared back.
+    Paterson-Stockmeyer evaluates it in 7 products: Horner's rule in A^4.
     """
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    norm = np.abs(a).sum(axis=0).max()
     # A zero matrix needs no squaring; a non-finite one raises FloatingPointError.
     with np.errstate(divide="ignore", invalid="raise"):
         squarings = np.maximum(np.ceil(np.log2(2.0 * norm)), 0.0).astype(int)
-    a = a / (2.0 ** squarings)[:, None, None]
+    a = a / 2.0 ** squarings
     a2 = a @ a
-    powers = np.array([np.broadcast_to(np.eye(a.shape[-1]), a.shape), a, a2, a2 @ a])
+    powers = np.array([np.eye(len(a)), a, a2, a2 @ a])
     blocks = (_TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape((5,) + a.shape)
     a4, out = a2 @ a2, blocks[4]
     for block in blocks[3::-1]:
         out = out @ a4 + block
-    for j in range(squarings.max(initial=0)):
-        out = np.where((squarings > j)[:, None, None], out @ out, out)
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 
-def _expm_times(t_grid: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """exp(t G) for every t in t_grid, stacked; raises where t G leaves float range."""
-    with np.errstate(over="ignore"):  # _expm scales t G by twice its 1-norm: finite too
-        tg = t_grid[:, None, None] * gen
-        if not np.isfinite(2.0 * np.abs(tg).sum(axis=-2)).all():
-            raise ValueError("t G leaves float range: a rate or a time is too large")
-    return _expm(tg)
+def _expm_times(t_grid: np.ndarray, gen: np.ndarray, i: int) -> np.ndarray:
+    """Row i of exp(t G) for every t in t_grid, one time at a time (a stack would hold a dozen
+    d x d matrices per time: 1 GB for 10 times at d = 1000); raises where t G leaves float range."""
+    rows = []
+    for t in t_grid:
+        with np.errstate(over="ignore"):  # _expm scales t G by twice its 1-norm: finite too
+            tg = t * gen
+            if not np.isfinite(2.0 * np.abs(tg).sum(axis=0)).all():
+                raise ValueError("t G leaves float range: a rate or a time is too large")
+        rows.append(_expm(tg)[i])
+    return np.array(rows).reshape(-1, len(gen))
 
 
 def _level_law(n: int, kind: RateKind, t_grid: np.ndarray) -> np.ndarray:
@@ -226,11 +229,7 @@ def _level_law(n: int, kind: RateKind, t_grid: np.ndarray) -> np.ndarray:
         return np.exp(log_law)
     m = np.arange(1.0, n + 1.0)
     rate = m * (m - 1.0) / 2.0
-    gen = np.diag(-rate) + np.diag(rate[1:], -1)
-    # Level n's row, one time at a time: a stack of times would hold a dozen n x n
-    # matrices for each (about 1 GB for 10 times at n = 1000).
-    rows = [_expm_times(t_grid[j:j + 1], gen)[0, -1] for j in range(t_grid.size)]
-    return np.array(rows).reshape(-1, n)
+    return _expm_times(t_grid, np.diag(-rate) + np.diag(rate[1:], -1), -1)  # level n's row
 
 
 def h_solver_exact(config: Configuration, phi: RateFunction,
@@ -272,8 +271,7 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     live = np.arange(1, rate.size)
     gen[live, live] = -rate[1:]
     np.add.at(gen, (rows, cols), rate[rows] * weights)  # phi(n) * (n_i/n): no overflow
-    # H(t) = exp(t G) h0 for the generator G, all times in one stack.
-    return _expm_times(t_grid, gen)[:, start] @ y0
+    return _expm_times(t_grid, gen, start) @ y0  # H(t) = exp(t G) h0 for the generator G
 
 
 def ratio_integrals(params: ModelParamsR, config: Configuration, i: int) -> float:
@@ -300,26 +298,3 @@ def history_to_json_lines(history: CoalescentHistory) -> str:
             "config_after": list(ev.config_after.counts) if ev.config_after else [],
         }))
     return "\n".join(lines)
-
-
-def history_to_newick(history: CoalescentHistory) -> str:
-    """Bracket serialization of the event nesting for an all-singleton start.
-
-    With every starting block a singleton the events are removals; the tips
-    are joined onto the ancestral line in event order (a caterpillar shape).
-    The choice of which lineage pair merges inside a block is not determined
-    by the configuration-level process; for general starts use the JSON form.
-    """
-    if any(c != 1 for c in history.start.counts):
-        raise ValueError("newick serialization requires an all-singleton start")
-    labels = [f"L{i + 1}" for i in range(history.start.k)]
-    # Track which original label each current block index refers to.
-    alive = list(labels)
-    spine = None
-    for ev in history.events:
-        removed = alive.pop(ev.block_index)
-        spine = removed if spine is None else f"({spine},{removed})"
-    if alive:
-        last = alive[0]
-        spine = last if spine is None else f"({spine},{last})"
-    return spine + ";"

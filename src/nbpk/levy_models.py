@@ -40,8 +40,8 @@ class LevyModel:
     """An intensity specification.
 
     alpha is the stability index in (0,1) (Stable, GeneralizedGamma,
-    TruncatedStable); theta > 0 is the mass parameter of the Gamma model.  Each
-    family takes only its own parameter: the urn reads alpha wherever it is set.
+    TruncatedStable); theta > 0 is the mass parameter of the Gamma model, and
+    only that family's: the urn reads alpha wherever it is set.
     """
 
     kind: ModelKind
@@ -121,22 +121,15 @@ def _shape_constants(shapes) -> tuple:
     return out
 
 
-def _log_lower_gamma_lv(s, lv):
-    """log gamma(s, e^lv) for a shape s (a float or a column) and lv (a float or 1-d).
+def _log_lower_gammas(constants, lv):
+    """log gamma(s, e^lv) from ``_shape_constants``: a row per shape, a column per point of 1-d lv.
 
     v = e^lv may underflow or overflow.  Below x = s + 1 it uses
     gamma(s, x) = x^s e^{-x} M(1, s + 1, x) / s with Kummer's function M;
     above, Gamma(s) (1 - Q(s, x)) with the regularised upper function Q, where
     x = inf gives Gamma(s).  log s and log Gamma(s) come from ``math`` per shape, cached
-    per tuple of shapes, so a column of shapes gives each row the bits of its own call.
+    per tuple of shapes, so each row has the bits of a one-shape call.
     """
-    lv, s = np.asarray(lv, float), np.asarray(s, float)
-    shape = np.broadcast(s, lv).shape
-    return _log_lower_gammas(_shape_constants(tuple(s.ravel().tolist())), lv.ravel()).reshape(shape)
-
-
-def _log_lower_gammas(constants, lv):
-    """log gamma(s, e^lv) from ``_shape_constants``: a row per shape, a column per point of lv."""
     s, log_s, lgamma_s = constants
     with np.errstate(over="ignore"):
         x = np.exp(lv)

@@ -93,37 +93,31 @@ def _log_g_r_rows(params: ModelParamsR, configs):
 
     def log_g(lv):
         if lv is _MESH_LV:
-            return const + coef @ _mesh_features(_kernel_features, model, sizes)
-        return const + coef @ _features(_kernel_features, model, sizes, lv)
+            return const + coef @ _mesh_features(model, sizes)
+        return const + coef @ _features(model, sizes, lv)
 
     return log_g
 
 
-def _features(log_kernels, model, sizes, lv) -> np.ndarray:
+def _features(model, sizes, lv) -> np.ndarray:
     """The stacked features [log psi, lv, f, log gamma(m - alpha, v) ...] at lv: one kernel call."""
-    kernels = log_kernels(model, sizes, lv)
+    kernels = _kernel_features(model, sizes, lv)
     return np.concatenate([kernels[:1], lv[None], kernels[1:]])
 
 
 @lru_cache(maxsize=256)
-def _mesh_features(log_kernels, model, sizes) -> np.ndarray:
-    """``_features`` on the mesh; the kernel is in the key, so a patched one has its own."""
-    features = _features(log_kernels, model, sizes, _MESH_LV)
+def _mesh_features(model, sizes) -> np.ndarray:
+    """``_features`` on the mesh, computed once per (model, block sizes)."""
+    features = _features(model, sizes, _MESH_LV)
     features.flags.writeable = False  # every caller shares it
     return features
 
 
 def _log_g_r_row(params: ModelParamsR, config):
-    """lv -> log g_r(v, n) at lv = log v, scalar or array: one row of ``_log_g_r_rows``, built
-    here once, so a quadrature that calls it every refinement round does not rebuild it."""
+    """lv -> log g_r(v, n) at a 1-d lv = log v: one row of ``_log_g_r_rows``, built here once,
+    so a quadrature that calls it every refinement round does not rebuild it."""
     rows = _log_g_r_rows(params, [config])
-
-    def log_g(lv):
-        lv = np.asarray(lv, float)  # a 1-d float array passes through, so the mesh is recognised
-        out = rows(lv if lv.ndim == 1 else lv.ravel())[0]
-        return float(out[0]) if lv.ndim == 0 else out.reshape(lv.shape)
-
-    return log_g
+    return lambda lv: rows(lv)[0]
 
 
 def _enlarged(counts):

@@ -18,7 +18,6 @@ from nbpk.coalescent import (
     backward_event_probabilities,
     h_solver_exact,
     history_to_json_lines,
-    history_to_newick,
     ratio_integrals,
     simulate_backward,
     transition_rates,
@@ -296,7 +295,8 @@ def test_h_solver_rejects_t_g_that_overflows(rate, t):
                                     (0.0,), (0.0, 0.0)], ids=["unsorted", "repeated", "zero",
                                                               "zeros"])
 def test_h_solver_batched_times_equal_single_time_solves(t_grid):
-    phis = [RateFunction(RateKind.TOTAL_N), RateFunction(RateKind.TOTAL_N_CHOOSE_2)]
+    phis = [RateFunction(RateKind.TOTAL_N), RateFunction(RateKind.TOTAL_N_CHOOSE_2),
+            RateFunction(RateKind.CUSTOM, custom=lambda c: 3.0 + c.k)]
     h0 = lambda c: c.k / c.n
     for start in [Configuration(c) for c in [(2,), (3, 2, 1), (1, 1, 1, 1), (5, 4, 2)]]:
         for phi in phis:
@@ -400,18 +400,6 @@ def test_history_json_lines():
         obj = json.loads(line)
         assert set(obj) == {"time", "kind", "block_index", "config_after"}
     assert json.loads(lines[-1])["config_after"] == [1]
-
-
-def test_history_newick():
-    phi = RateFunction(RateKind.TOTAL_N)
-    hist = simulate_backward(Configuration((1, 1, 1)), phi, seed=8)
-    tree = history_to_newick(hist)
-    assert tree.endswith(";")
-    assert tree.count("(") == 2 and tree.count(",") == 2
-    for i in range(1, 4):
-        assert f"L{i}" in tree
-    with pytest.raises(ValueError):
-        history_to_newick(simulate_backward(Configuration((2, 1)), phi, seed=8))
 
 
 def test_h_solver_matches_scipy_expm(monkeypatch):

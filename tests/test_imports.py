@@ -54,3 +54,37 @@ def test_checks_import_only_the_public_api():
             public = importlib.import_module(f"nbpk.{module}").__all__
             problems += [f"{module}.{a.name}" for a in node.names if a.name not in public]
     assert not problems, problems
+
+
+def _definitions_and_references(path):
+    """The module-level functions and classes of a file, and every name it reads outside them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = [node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    read = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            read.append((node.attr, node.lineno))
+    return defined, read
+
+
+def test_every_package_function_and_class_has_a_caller():
+    # Code that only the tests reach is not part of the package.  reference.py is the
+    # oracle the tests and the benchmark read, so it is the one module exempt.
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = {path.name: _definitions_and_references(path) for path in sorted(SRC.glob("*.py"))}
+    problems = []
+    for name, (defined, _) in modules.items():
+        if name == "reference.py":
+            continue
+        for node in defined:
+            own = range(node.lineno, node.end_lineno + 1)
+            if node.name not in exported and not any(
+                    ref == node.name and not (other == name and line in own)
+                    for other, (_, read) in modules.items() for ref, line in read):
+                problems.append(f"{name}:{node.lineno}: {node.name} has no caller in the package")
+    assert not problems, "\n".join(problems)

@@ -21,7 +21,8 @@ from nbpk.levy_models import (
     ModelKind,
     ModelParamsR,
     _kernel_features,
-    _log_lower_gamma_lv,
+    _log_lower_gammas,
+    _shape_constants,
     log_kernels_lv,
     log_pi_n_lv,
     log_psi_lv,
@@ -176,28 +177,29 @@ def test_log_lower_gamma_kernel_against_mpmath():
     wants, gots = [], []
     for s in shapes:
         want = np.array([_mp_log_lower_gamma(s, lv) for lv in lvs])
-        got = _log_lower_gamma_lv(s, lvs)
-        assert got.shape == lvs.shape
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"s = {s}")
+        got = _log_lower_gammas(_shape_constants((s,)), lvs)
+        assert got.shape == (1, lvs.size)
+        np.testing.assert_allclose(got[0], want, rtol=1e-13, atol=0, err_msg=f"s = {s}")
         for lv, w in zip(lvs[::9], want[::9]):
-            assert float(_log_lower_gamma_lv(s, np.float64(lv))) == pytest.approx(w, rel=1e-13)
+            one = _log_lower_gammas(_shape_constants((s,)), np.array([lv]))
+            assert one[0, 0] == pytest.approx(w, rel=1e-13)
         wants.append(want)
-        gots.append(got)
-    # Every shape at once, as one (6, 1) column: the same bits as one shape at a time.
-    column = _log_lower_gamma_lv(np.array(shapes)[:, None], lvs)
-    assert column.shape == (len(shapes), lvs.size)
-    np.testing.assert_allclose(column, np.array(wants), rtol=1e-13, atol=0)
-    assert column.tobytes() == np.array(gots).tobytes()
+        gots.append(got[0])
+    # Every shape at once, a row each: the same bits as one shape at a time.
+    rows = _log_lower_gammas(_shape_constants(tuple(shapes)), lvs)
+    assert rows.shape == (len(shapes), lvs.size)
+    np.testing.assert_allclose(rows, np.array(wants), rtol=1e-13, atol=0)
+    assert rows.tobytes() == np.array(gots).tobytes()
     # A shape tuple no other call uses, with its constants cache cleared, then warm: the
     # same bits both times, and each row those of its own one-shape call.
-    fresh = np.array([0.3, 4.7, 12.25])[:, None]
+    fresh = (0.3, 4.7, 12.25)
     levy_models._shape_constants.cache_clear()
-    cold = _log_lower_gamma_lv(fresh, lvs)
+    cold = _log_lower_gammas(_shape_constants(fresh), lvs)
     assert levy_models._shape_constants.cache_info().misses == 1
-    assert _log_lower_gamma_lv(fresh, lvs).tobytes() == cold.tobytes()
+    assert _log_lower_gammas(_shape_constants(fresh), lvs).tobytes() == cold.tobytes()
     assert levy_models._shape_constants.cache_info().hits == 1
-    for s, row in zip(fresh.ravel(), cold):
-        assert row.tobytes() == _log_lower_gamma_lv(s, lvs).tobytes()
+    for s, row in zip(fresh, cold):
+        assert row.tobytes() == _log_lower_gammas(_shape_constants((s,)), lvs)[0].tobytes()
         want = [_mp_log_lower_gamma(s, lv) for lv in lvs]
         np.testing.assert_allclose(row, want, rtol=1e-13, atol=0, err_msg=f"s = {s}")
 

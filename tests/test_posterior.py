@@ -44,7 +44,7 @@ FOUR_MODELS = [
 def test_log_g_r_fixed_value():
     # hand assembly for the generalized-gamma model at v = 1:
     # r^{[k]} = 2, psi = 2^{0.5}, pi_1 = 0.5 * 2^{-0.5}, exponent r+k = 3
-    got = _log_g_r_row(PD_HALF, Configuration((1,)))(math.log(1.0))
+    got = _log_g_r_row(PD_HALF, Configuration((1,)))(np.array([math.log(1.0)]))[0]
     assert got == pytest.approx(math.log(0.25), abs=1e-12)
 
 
@@ -182,7 +182,8 @@ def test_log_v_moment_against_independent_quadrature():
     from scipy.integrate import quad
     params = ModelParamsR(LevyModel.generalized_gamma(0.7), 10.0)
     cfg = Configuration((2, 1))
-    want, _ = quad(lambda v: v * math.exp(_log_g_r_row(params, cfg)(math.log(v))), 0, np.inf,
+    log_g = _log_g_r_row(params, cfg)
+    want, _ = quad(lambda v: v * math.exp(log_g(np.array([math.log(v)]))[0]), 0, np.inf,
                    limit=400, epsabs=0, epsrel=1e-10)
     got = math.exp(log_v_moment(params, cfg, 1.0))
     assert got == pytest.approx(want, rel=1e-7)
@@ -352,7 +353,8 @@ def test_mesh_kernels_are_evaluated_once_per_model_and_block_size(model, monkeyp
             on_mesh.append(frozenset(sizes))
         return _kernel_features(model, sizes, lv)
 
-    # A new kernel function is a new cache key, so the count starts from an empty cache.
+    # The count starts from an empty cache.
+    _mesh_features.cache_clear()
     monkeypatch.setattr(posterior, "_kernel_features", counting)
     gibbs = model.kind is not ModelKind.TRUNCATED_STABLE
     rng = np.random.default_rng(3)
