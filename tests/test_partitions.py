@@ -129,16 +129,10 @@ def test_configuration_edits():
     assert c.add_one(1).counts == (3, 2)
     assert c.append_block().counts == (3, 1, 1)
     assert Configuration((1,)).remove_one(0) is None
-    with pytest.raises(IndexError):
-        c.remove_one(5)
-
-
-def test_configuration_edits_refuse_a_negative_block_index():
-    c = Configuration((3, 1))
-    with pytest.raises(IndexError):
-        c.remove_one(-1)
-    with pytest.raises(IndexError):
-        c.add_one(-1)
+    for edit in (c.remove_one, c.add_one):  # a negative index is not the last block
+        for i in (5, -1):
+            with pytest.raises(IndexError):
+                edit(i)
 
 
 def test_configuration_parse_roundtrip():
