@@ -17,7 +17,7 @@ from nbpk.numerics import (
     log_integrate_halfline_logv,
 )
 from nbpk.partitions import Configuration
-from nbpk.posterior import _log_g_r_row, _log_g_r_rows, log_eppf
+from nbpk.posterior import _enlarged, _log_g_r_row, _log_g_r_rows, log_eppf
 from nbpk.sampler import _class_key, _v_sampler, sample_v
 
 
@@ -269,10 +269,40 @@ def test_refinement_continues_from_round_one_without_evaluating_a_node_twice():
     assert all(lv is not numerics._MESH_LV for lv in seen[1:])
     nodes = np.concatenate(seen)
     assert nodes.size == 1710 and np.unique(nodes).size == nodes.size
+    # The converged panel set: 16 mesh panels, 49 splits.
+    assert numerics._log_integrate_unit(rows).a.size == 65
     # The grid sampler refines the same way and evaluates nothing else.
     seen.clear()
     LogDensityGridSampler(_recording(lambda lv: rows(lv)[0], seen))
     assert np.concatenate(seen).tobytes() == nodes.tobytes()
+
+
+def test_refinement_of_a_stack_with_a_dead_row_matches_the_stack_without_it():
+    # stable's predictive stack for (3, 2, 1): p(n) and its three enlargements,
+    # refined on one panel set, beside a row that is -inf everywhere.
+    counts = (3, 2, 1)
+    rows = _log_g_r_rows(ModelParamsR(LevyModel.stable(0.5), 1.5), [counts, *_enlarged(counts)])
+    seen = []
+    dead = numerics._log_integrate_unit(
+        _recording(lambda lv: np.vstack([rows(lv), np.full(lv.shape, -np.inf)]), seen))
+    assert len(seen) == 11 and sum(lv.size for lv in seen) == 570 and dead.a.size == 27
+    live = numerics._log_integrate_unit(rows)
+    assert dead.log_total[-1] == -np.inf
+    assert dead.log_total[:-1].tobytes() == live.log_total.tobytes()
+    assert dead.a.tobytes() == live.a.tobytes()
+
+
+def test_log_g_scores_nodes_on_the_ends_minus_infinity():
+    # Nodes that round onto t = 0 or 1 (v = 0 or v = inf) take the masked path;
+    # the nodes inside (0, 1) keep the bits of the direct path.
+    rows = _log_g_r_rows(ModelParamsR(LevyModel.stable(0.5), 1.5), [(2,), (3, 1)])
+    inside = np.array([1e-300, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+    t = np.concatenate([[0.0], inside[:3], [1.0], inside[3:]])
+    got = numerics._log_g(rows, t)
+    want = numerics._log_g(rows, inside)
+    assert got.shape == (2, 7) and np.isfinite(want).all()
+    assert (got[:, [0, 4]] == -np.inf).all()
+    assert np.delete(got, [0, 4], axis=1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("model,r,counts", [
