@@ -121,11 +121,14 @@ def _log_g(log_f_lv, t):
     Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf; an integrable
     integrand vanishes there, so they score -inf.
     """
+    if 0.0 < t.min() and t.max() < 1.0:  # every node inside (0, 1): no mask
+        lv, w, two_log1m_t = _compound_map(t)
+        return _log_f(log_f_lv, lv) + w - two_log1m_t  # round 1's order: one value a node
     ok = (t > 0.0) & (t < 1.0)
     lv, w, two_log1m_t = _compound_map(t[ok])
     vals = _log_f(log_f_lv, lv)
     out = np.full(vals.shape[:-1] + t.shape, -np.inf)
-    out[..., ok] = vals + w - two_log1m_t  # round 1's order: any round gives a node one value
+    out[..., ok] = vals + w - two_log1m_t
     return out
 
 
@@ -146,8 +149,11 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
     err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.
     Round 1 is the mesh, whose lv and Jacobian terms are precomputed: when every
     row converges there, the pass is one integrand call, one max, one exp, one
-    rule product and one test.  Otherwise refinement continues from the
-    round-1 values, so no node is evaluated twice.
+    rule product and one test.  Otherwise refinement starts from round 1's
+    values, row maxima and panel sums (the mesh's half-width 1/32 is a power of
+    two, so its pre-scaled rule gives the bits a later round's product would).
+    Each later round evaluates only the new panels' nodes, so no node is
+    evaluated twice, and sums every panel again from the new row maxima.
     """
     a, b, splits = _EDGES[:-1], _EDGES[1:], 0
     with np.errstate(all="ignore"):
@@ -155,31 +161,30 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
         l15 = l15.reshape(l15.shape[:-1] + (_INITIAL_PANELS, 15))
         m = l15.max(axis=(-2, -1))
         sums = np.exp(l15 - m[..., None, None]) @ _MESH_RULE
-        total = sums[..., 0].sum(axis=-1)
-        # A NaN or a row whose max is not finite fails this test and meets the checks below.
-        if (np.abs(sums[..., 1]).sum(axis=-1) <= _REL_TOL * total).all():
-            return _Panels(a, b, l15, m + np.log(total))
-
         while True:
-            m = l15.max(axis=(-2, -1))
-            # A row that is -inf everywhere is identically zero: zero masses, log total -inf.
-            dead = ~np.isfinite(m)
-            if dead.any() and not np.isneginf(m[dead]).all():  # a row's max: NaN if it holds one
-                raise QuadratureError(f"log integrand returned {m[dead].max()}")
-            live_m = np.where(dead, 0.0, m)[..., None, None]
-            sums = (0.5 * (b - a))[:, None] * (np.exp(l15 - live_m) @ _RULE_COLUMNS)
-            mass, err = sums[..., 0], np.abs(sums[..., 1])
-            total, total_err = mass.sum(axis=-1), err.sum(axis=-1)
-            done = dead | ((total > 0.0) & (total_err <= _REL_TOL * total))
+            err = np.abs(sums[..., 1])
+            total, total_err = sums[..., 0].sum(axis=-1), err.sum(axis=-1)
+            # A row whose max is not finite has NaN sums and fails this test.
+            budget = _REL_TOL * total
+            done = total_err <= budget
             if done.all():
                 return _Panels(a, b, l15, m + np.log(total))
+            if not np.isfinite(m).all():
+                # A row that is -inf everywhere is identically zero: zero sums pass the
+                # test (0 <= 0) and, with its max taken as 0, its log total is -inf.
+                dead = ~np.isfinite(m)
+                if not np.isneginf(m[dead]).all():  # a row's max: NaN if it holds one
+                    raise QuadratureError(f"log integrand returned {m[dead].max()}")
+                m, sums[dead] = np.where(dead, 0.0, m), 0.0
+                continue
 
             # Split every panel whose error exceeds an unconverged row's fair share
             # of that row's budget; always split at least the worst one.
-            thresh = np.where(total > 0.0, _REL_TOL * total / len(a), np.inf)
-            open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))
-            to_split = np.flatnonzero((open_err > thresh.reshape(-1, 1)).any(axis=0))
+            thresh = np.where(done, np.inf, budget / len(a))
+            hot = err > thresh[..., None]
+            to_split = np.flatnonzero(hot.any(axis=0) if hot.size > len(a) else hot)
             if to_split.size == 0:
+                open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))
                 to_split = np.array([int(np.argmax(open_err.max(axis=0)))])
             if splits + to_split.size > _MAX_SUBDIVISIONS:
                 # Report the unconverged row with the largest relative error.
@@ -193,16 +198,18 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
                 )
             splits += to_split.size
 
+            # The kept panels in order, then the left halves, then the right halves.
             keep = np.ones(len(a), dtype=bool)
             keep[to_split] = False
-            mid = 0.5 * (a[to_split] + b[to_split])
-            new_a = np.concatenate([a[to_split], mid])
-            new_b = np.concatenate([mid, b[to_split]])
-            a = np.concatenate([a[keep], new_a])
-            b = np.concatenate([b[keep], new_b])
-            new = _log_g(log_f_lv, _panel_nodes(new_a, new_b))
+            split_a, split_b = a[to_split], b[to_split]
+            mid = 0.5 * (split_a + split_b)
+            a = np.concatenate([a[keep], split_a, mid])
+            b = np.concatenate([b[keep], mid, split_b])
+            new = _log_g(log_f_lv, _panel_nodes(a[-2 * to_split.size:], b[-2 * to_split.size:]))
             l15 = np.concatenate([l15[..., keep, :], new.reshape(new.shape[:-1] + (-1, 15))],
                                  axis=-2)
+            m = l15.max(axis=(-2, -1))
+            sums = (0.5 * (b - a))[:, None] * (np.exp(l15 - m[..., None, None]) @ _RULE_COLUMNS)
 
 
 def log_integrate_halfline_logv(log_f_lv: Callable):
