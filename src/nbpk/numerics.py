@@ -198,7 +198,7 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
                 )
             splits += to_split.size
 
-            # The kept panels in order, then the left halves, then the right halves.
+            # Kept panels, left halves, right halves: the order fixes each total's bits.
             keep = np.ones(len(a), dtype=bool)
             keep[to_split] = False
             split_a, split_b = a[to_split], b[to_split]
