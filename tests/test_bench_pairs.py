@@ -1,6 +1,7 @@
 """The paired-benchmark rules of tools/bench_pairs.py, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -135,3 +136,53 @@ def test_gains_line_flags_an_ops_gain_past_the_rss_headroom():
     line = bench_pairs.gains_line("urn_warm", {"gains": [], "attempted": attempted,
                                                "peak_rss_fit": fit})
     assert "exceeded" not in line and line.endswith("of gain_at_rss_bound")
+
+
+def _headroom_summary(change_ops, gate=()):
+    # 10 MB + 0.5 KB per op: at 22250 ops the 0.1 bound holds +19.2 % ops.
+    parent_ops = [20000 + 500 * i for i in range(10)]
+    pairs = []
+    for a in parent_ops:
+        b = a + change_ops - 22250
+        pairs += _pairs([1.0], [1.0], (a, b), (10.0 + a / 2048, 10.0 + b / 2048))
+    attempted = {"parent": 22250, "change": change_ops}
+    return {"gate": list(gate), "gains": [], "attempted": attempted,
+            "peak_rss_fit": bench_pairs.rss_fit(pairs, attempted, 0.1)}
+
+
+def test_a_workload_fails_on_a_gated_metric_or_past_the_rss_headroom():
+    within, past = _headroom_summary(22250 + 2000), _headroom_summary(42250)
+    assert bench_pairs.rss_headroom(within)[2] < 1.0 < bench_pairs.rss_headroom(past)[2]
+    assert not bench_pairs.workload_fails(within)
+    assert bench_pairs.workload_fails(past)
+    assert bench_pairs.workload_fails(_headroom_summary(22250, gate=[{"metric": "op_ms_tail"}]))
+    # Without a fit only the gate counts.
+    no_fit = {"gate": [], "attempted": {"parent": 1000, "change": 5000}, "peak_rss_fit": None}
+    assert bench_pairs.rss_headroom(no_fit) == (4.0, None, None)
+    assert not bench_pairs.workload_fails(no_fit)
+
+
+def _run_main(monkeypatch, tmp_path, change_ms):
+    """main() on synthetic runs: the parent takes 1 ms an op, the change `change_ms`."""
+    def run_once(checkout, workload, seed, seconds):
+        ms = 1.0 if checkout != bench_pairs.ROOT else change_ms
+        ops = 20000 + 500 * (seed % 10)  # op counts that vary, the same on both sides
+        metrics = {"setup_s": 0.3, "ops_per_s": 1e3 / ms, "op_ms_p50": ms, "op_ms_tail": ms,
+                   "cpu_ms_per_op": ms, "peak_rss_mb": 10.0 + ops / 2048, "success_rate": 1.0}
+        return {"attempted": ops, "failed": 0, "correct": ops, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "unpack", lambda revision, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--seeds", *map(str, range(10)), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_main_exits_1_after_writing_the_report_when_a_workload_fails(monkeypatch, tmp_path):
+    code, report = _run_main(monkeypatch, tmp_path, 1.0)
+    assert code == 0 and all(w["gate"] == [] for w in report["workloads"].values())
+    # 1.5 times the time is past every time metric's 0.25 bound, in every workload.
+    code, report = _run_main(monkeypatch, tmp_path, 1.5)
+    assert code == 1
+    for summary in report["workloads"].values():
+        assert {"op_ms_p50", "op_ms_tail", "ops_per_s"} <= {g["metric"] for g in summary["gate"]}

@@ -33,6 +33,10 @@ median ``attempted``, ``harness_mb``, ``gain_at_rss_bound`` and the change's
 attempted-ops gain as a share of it (with ``rss headroom exceeded`` past
 100 %), so a regression, or a gain that the ``peak_rss_mb`` bound cannot hold,
 shows before the full comparison is read.
+
+The exit status is 1, after the report is written, when any workload's
+``gate`` is non-empty or its attempted-ops gain exceeds ``gain_at_rss_bound``;
+otherwise 0.
 """
 
 from __future__ import annotations
@@ -145,14 +149,28 @@ def rss_fit(pairs, attempted, bound):
     }
 
 
+def rss_headroom(summary):
+    """The change's gain in median attempted ops, the RSS fit's ``gain_at_rss_bound``
+    and the first as a share of the second; the last two None without a fit."""
+    fit, attempted = summary["peak_rss_fit"], summary["attempted"]
+    bound_gain = fit and fit["gain_at_rss_bound"]
+    ops_gain = attempted["change"] / attempted["parent"] - 1.0
+    return ops_gain, bound_gain, ops_gain / bound_gain if bound_gain else None
+
+
+def workload_fails(summary):
+    """Whether a finished workload fails the comparison: a metric past its bound, or an
+    attempted-ops gain past ``gain_at_rss_bound``, which ``peak_rss_mb`` cannot hold."""
+    share = rss_headroom(summary)[2]
+    return bool(summary["gate"]) or (share is not None and share > 1.0)
+
+
 def gains_line(workload, summary):
     """The stderr line of a finished workload: its gains, each side's median ``attempted``,
     the ``harness_mb`` and ``gain_at_rss_bound`` of its RSS fit, and the change's gain in
     attempted ops as a share of that bound's gain, flagged past 100 %."""
     fit, attempted = summary["peak_rss_fit"], summary["attempted"]
-    bound_gain = fit and fit["gain_at_rss_bound"]
-    ops_gain = attempted["change"] / attempted["parent"] - 1.0
-    share = ops_gain / bound_gain if bound_gain else None
+    ops_gain, bound_gain, share = rss_headroom(summary)
     return (f"{workload} gains: " + (", ".join(summary["gains"]) or "none")
             + f"; attempted: parent {attempted['parent']:.0f}, change {attempted['change']:.0f}"
             + "; harness_mb: " + (f"{fit['harness_mb']:+.2f}" if fit else "no fit")
@@ -210,7 +228,10 @@ def main(argv=None):
                   flush=True)
             # Written after each workload, so a cut run keeps what it measured.
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    failing = [w for w, summary in report["workloads"].items() if workload_fails(summary)]
+    if failing:
+        print("failing: " + ", ".join(failing), file=sys.stderr, flush=True)
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
