@@ -149,11 +149,9 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
     err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.
     Round 1 is the mesh, whose lv and Jacobian terms are precomputed: when every
     row converges there, the pass is one integrand call, one max, one exp, one
-    rule product and one test.  Otherwise refinement starts from round 1's
-    values, row maxima and panel sums (the mesh's half-width 1/32 is a power of
-    two, so its pre-scaled rule gives the bits a later round's product would).
-    Each later round evaluates only the new panels' nodes, so no node is
-    evaluated twice, and sums every panel again from the new row maxima.
+    rule product and one test.  Otherwise refinement starts from round 1's values,
+    maxima and panel sums (bit for bit a later round's: the half-width 1/32 is a power
+    of two); each later round evaluates the new panels' nodes and sums every panel.
     """
     a, b, splits = _EDGES[:-1], _EDGES[1:], 0
     with np.errstate(all="ignore"):
@@ -180,8 +178,7 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
 
             # Split every panel whose error exceeds an unconverged row's fair share
             # of that row's budget; always split at least the worst one.
-            thresh = np.where(done, np.inf, budget / len(a))
-            hot = err > thresh[..., None]
+            hot = err > np.where(done, np.inf, budget / len(a))[..., None]
             to_split = np.flatnonzero(hot.any(axis=0) if hot.size > len(a) else hot)
             if to_split.size == 0:
                 open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))

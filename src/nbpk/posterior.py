@@ -140,16 +140,16 @@ def log_eppf(params: ModelParamsR, config: Configuration) -> float:
 def log_v_moment(params: ModelParamsR, config: Configuration, power: float) -> float:
     """log int v^power g_r(v, n) dv; subtract log_eppf for the posterior moment.
 
-    As v -> inf, g_r ~ v^(-1 - alpha r) (gamma: v^-1 (log v)^-(r + k), r + k > 1); as
-    v -> 0, g_r ~ v^(k alpha - 1) for stable and v^(n - 1) for the others.  A power
-    outside the interval these tails leave finite raises ValueError.
+    Raises ValueError for a power at which the integral diverges, from the tails of g_r:
+    v^(-1 - alpha r) as v -> inf (gamma: v^-1 (log v)^-(r + k), r + k > 1), and as v -> 0
+    v^(k alpha - 1) for stable, v^(n - 1) for the others.
     """
     model, gamma = params.model, params.model.kind is ModelKind.GAMMA
     lo = -config.k * model.alpha if model.kind is ModelKind.STABLE else -config.n
     hi = 0.0 if gamma else model.alpha * params.r
     if not (lo < power < hi or gamma and power == hi):
-        raise ValueError(f"the V moment of power {power} diverges: {model.describe()} at "
-                         f"r={params.r}, n={config.counts} needs {lo} < power "
+        raise ValueError(f"the V moment of power {power} diverges for {model.describe()}, "
+                         f"r = {params.r}, n = {config.counts}: it needs {lo} < power "
                          f"{'<=' if gamma else '<'} {hi}")
     log_g = _log_g_r_row(params, config)
     return log_integrate_halfline_logv(lambda lv: power * lv + log_g(lv))

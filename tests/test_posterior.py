@@ -203,6 +203,12 @@ def test_a_divergent_v_moment_raises(params, power):
         log_v_moment(params, Configuration((2, 1)), power)
 
 
+def test_gammas_v_moment_of_power_zero_is_its_eppf():
+    # gamma's interval is closed at power 0, where the moment is p(n) itself.
+    params, config = FOUR_MODELS[1], Configuration((2, 1))
+    assert log_v_moment(params, config, 0.0) == pytest.approx(log_eppf(params, config), abs=1e-12)
+
+
 def _mp_log_eppf(params, counts, limits):
     """log p(n) by mpmath quadrature over log v, from mpmath's own closed forms.
 
