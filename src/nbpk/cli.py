@@ -23,7 +23,7 @@ from .coalescent import (_LATTICE_LIMIT, RateFunction, RateKind, _lattice, h_sol
 from .levy_models import LevyModel, ModelParamsR, _pi_coefficients, _shape_constants
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
                        QuadratureError)
-from .partitions import Configuration
+from .partitions import _ENUM_LIMIT, Configuration
 from .posterior import _mesh_features, log_eppf, predictive_weights
 from .sampler import _urn, _v_sampler, run_chain
 
@@ -215,6 +215,7 @@ def _show_config():
     print("default.seed              =", DEFAULT_SEED)
     print("default.phi               =", RateFunction().kind.value)
     print("coalescent.lattice_limit  =", _LATTICE_LIMIT)
+    print("coalescent.h0_limit       =", _ENUM_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:

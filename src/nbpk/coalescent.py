@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .levy_models import ModelParamsR
-from .partitions import Configuration
+from .partitions import _ENUM_LIMIT, Configuration
 from .posterior import _log_eppfs, log_eppf
 
 __all__ = [
@@ -139,7 +139,7 @@ def _decrements(state: Tuple[int, ...]):
         yield ni, tuple(sorted(state[:i] + (ni - 1,) * (ni > 1) + state[i + 1:], reverse=True))
 
 
-@lru_cache(maxsize=128)  # an entry holds at most 271 states (every class with n <= 12)
+@lru_cache(maxsize=32)  # the largest entry, at n = 40, holds 13710 states in about 6 MB
 def _lattice(start: Tuple[int, ...]):
     """The backward lattice of a start class (its sorted counts), enumerated once.
 
@@ -244,9 +244,9 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     Under a built-in clock the number of observations L(t) is a death chain,
     independent of X_m, the removal chain's class at level m, so
     H(start, t) = sum_m P(L(t) = m) E[h0(X_m)]: the default h0 needs
-    P(L(t) = 1) alone, at any n.  Another h0 (through the lattice's visit
-    probabilities), or a custom phi (through exp(t G) on the lattice of
-    classes), needs n <= 12.
+    P(L(t) = 1) alone, at any n.  Another h0 reads the lattice's visit
+    probabilities, so it needs n <= 40 (``partitions._ENUM_LIMIT``); a custom phi
+    exponentiates t G on the lattice of classes, so it needs n <= 12.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
@@ -254,10 +254,10 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     built_in = phi.kind is not RateKind.CUSTOM
     if built_in and h0 is None:
         return _level_law(config.n, phi.kind, t_grid)[:, 0]
-    if config.n > _LATTICE_LIMIT:
+    if config.n > (limit := _ENUM_LIMIT if built_in else _LATTICE_LIMIT):
         raise ValueError(
             f"configuration lattice for n = {config.n} is too large to enumerate "
-            f"(limit {_LATTICE_LIMIT}); use Monte Carlo via simulate_backward")
+            f"(limit {limit}); use Monte Carlo via simulate_backward")
     if h0 is None:
         h0 = lambda c: 1.0 if c.sorted_counts() == (1,) else 0.0
 

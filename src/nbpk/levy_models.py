@@ -159,25 +159,30 @@ def _pi_coefficients(model: LevyModel, sizes) -> dict:
 
 
 def _kernel_features(model: LevyModel, sizes, lv) -> np.ndarray:
-    """[log psi, f] at v = exp(lv), f = lv (stable, truncstable) or softplus(lv), then for the
-    truncated stable only log gamma(m - alpha, v) per m in sizes, psi's shape in the same pass."""
+    """[log psi, lv, f] at v = exp(lv), f = lv (stable, truncstable) or softplus(lv), then for the
+    truncated stable only log gamma(m - alpha, v) per m in sizes, psi's shape in the same pass:
+    the g_r builder's features, in one array filled row by row (stacking rows cost an urn step)."""
     lv = np.asarray(lv, float)
     a, th, kind = model.alpha, model.theta, model.kind
     f = lv if kind in (ModelKind.STABLE, ModelKind.TRUNCATED_STABLE) else np.logaddexp(0.0, lv)
     if kind is not ModelKind.TRUNCATED_STABLE:
-        return np.stack([np.logaddexp(0.0, a * lv) if kind is ModelKind.STABLE
-                         else np.log1p(th * f) if kind is ModelKind.GAMMA else a * f, f])
+        out = np.empty((3,) + lv.shape)
+        out[0] = (np.logaddexp(0.0, a * lv) if kind is ModelKind.STABLE
+                  else np.log1p(th * f) if kind is ModelKind.GAMMA else a * f)
+        out[1], out[2] = lv, f
+        return out
     # psi by integration by parts of its defining integral over (0, 1]
     constants = _shape_constants((1.0 - a, *(m - a for m in sizes)))
     with np.errstate(over="ignore"):  # v = e^lv may overflow to inf
         if lv.size != 1:
             g = _log_lower_gammas(constants, lv.ravel()).reshape((-1,) + lv.shape)
-            return np.concatenate([np.logaddexp(-np.exp(lv), a * lv + g[0])[None], f[None], g[1:]])
+            psi = np.logaddexp(-np.exp(lv), a * lv + g[0])
+            return np.concatenate([psi[None], lv[None], f[None], g[1:]])
         lv1 = lv.item()  # one point, as an urn step reads it: numpy scalars, the column's bits
         x = np.exp(lv1)
     g = [s * lv1 - x - log_s + np.log(hyp1f1(1.0, s + 1.0, x)) if x < s + 1.0
          else lgamma_s + np.log1p(-gammaincc(s, x)) for s, log_s, lgamma_s in zip(*constants)]
-    return np.array([np.logaddexp(-x, a * lv1 + g[0]), lv1, *g[1:]]).reshape((-1,) + lv.shape)
+    return np.array([np.logaddexp(-x, a * lv1 + g[0]), lv1, lv1, *g[1:]]).reshape((-1,) + lv.shape)
 
 
 def log_kernels_lv(model: LevyModel, sizes, lv) -> np.ndarray:
@@ -188,16 +193,16 @@ def log_kernels_lv(model: LevyModel, sizes, lv) -> np.ndarray:
     """
     if any(m < 1 for m in sizes):
         raise ValueError(f"block sizes must be >= 1, got {sizes}")
-    features = _kernel_features(model, sizes, lv)
+    features = _kernel_features(model, sizes, lv)  # rows: log psi, lv, f, log gamma ...
     pi = _pi_coefficients(model, tuple(sizes))
     coef = np.reshape([pi[m] for m in sizes], (len(sizes), 2) + (1,) * (features.ndim - 1))
-    out = np.concatenate([features[:1], coef[:, 0] + coef[:, 1] * features[1]])
+    out = np.concatenate([features[:1], coef[:, 0] + coef[:, 1] * features[2]])
     if model.kind is ModelKind.TRUNCATED_STABLE:
         with np.errstate(invalid="ignore"):  # inf - inf at v = 0, replaced by its limit
-            out[1:] += features[2:]
+            out[1:] += features[3:]
         # v^(alpha - m) gamma(m - alpha, v) -> 1/(m - alpha) as v -> 0
         at_zero = coef[:, 0] - np.log(np.subtract(sizes, model.alpha)).reshape(coef[:, 0].shape)
-        out[1:] = np.where(features[1] == -np.inf, at_zero, out[1:])
+        out[1:] = np.where(features[2] == -np.inf, at_zero, out[1:])
     return out
 
 

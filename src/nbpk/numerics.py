@@ -79,7 +79,8 @@ _EDGES = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
 
 def _panel_nodes(a, b):
     """The K15 nodes of panels [a_i, b_i], panel by panel in one flat array."""
-    return (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K15_NODES).ravel()
+    # One halving, after the sum: halving is exact, so these are 0.5 (a + b) + 0.5 (b - a) x's bits.
+    return (0.5 * ((a + b)[:, None] + (b - a)[:, None] * _K15_NODES)).ravel()
 
 
 def _log_expm1(w):
@@ -178,12 +179,12 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
 
             # Split every panel whose error exceeds an unconverged row's fair share
             # of that row's budget; always split at least the worst one.
-            hot = err > np.where(done, np.inf, budget / len(a))[..., None]
-            to_split = np.flatnonzero(hot.any(axis=0) if hot.size > len(a) else hot)
-            if to_split.size == 0:
+            split = (err > budget / len(a) if err.ndim == 1  # one row, not done
+                     else (err > np.where(done, np.inf, budget / len(a))[:, None]).any(axis=0))
+            if (count := np.count_nonzero(split)) == 0:
                 open_err = np.where(done[..., None], -np.inf, err).reshape(-1, len(a))
-                to_split = np.array([int(np.argmax(open_err.max(axis=0)))])
-            if splits + to_split.size > _MAX_SUBDIVISIONS:
+                split[np.argmax(open_err.max(axis=0))], count = True, 1
+            if splits + count > _MAX_SUBDIVISIONS:
                 # Report the unconverged row with the largest relative error.
                 rel = np.where(total > 0.0, total_err / total, np.inf)
                 j = np.unravel_index(np.argmax(np.where(done, -np.inf, rel)), rel.shape)
@@ -193,16 +194,15 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
                     best_estimate=m[j] + math.log(total[j]) if total[j] > 0 else -np.inf,
                     error_bound=float(rel[j]),
                 )
-            splits += to_split.size
+            splits += count
 
             # Kept panels, left halves, right halves: the order fixes each total's bits.
-            keep = np.ones(len(a), dtype=bool)
-            keep[to_split] = False
-            split_a, split_b = a[to_split], b[to_split]
+            keep = ~split
+            split_a, split_b = a[split], b[split]
             mid = 0.5 * (split_a + split_b)
             a = np.concatenate([a[keep], split_a, mid])
             b = np.concatenate([b[keep], mid, split_b])
-            new = _log_g(log_f_lv, _panel_nodes(a[-2 * to_split.size:], b[-2 * to_split.size:]))
+            new = _log_g(log_f_lv, _panel_nodes(a[-2 * count:], b[-2 * count:]))
             l15 = np.concatenate([l15[..., keep, :], new.reshape(new.shape[:-1] + (-1, 15))],
                                  axis=-2)
             m = l15.max(axis=(-2, -1))

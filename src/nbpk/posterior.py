@@ -94,21 +94,15 @@ def _log_g_r_rows(params: ModelParamsR, configs):
     def log_g(lv):
         if lv is _MESH_LV:
             return const + coef @ _mesh_features(model, sizes)
-        return const + coef @ _features(model, sizes, lv)
+        return const + coef @ _kernel_features(model, sizes, lv)
 
     return log_g
 
 
-def _features(model, sizes, lv) -> np.ndarray:
-    """The stacked features [log psi, lv, f, log gamma(m - alpha, v) ...] at lv: one kernel call."""
-    kernels = _kernel_features(model, sizes, lv)
-    return np.concatenate([kernels[:1], lv[None], kernels[1:]])
-
-
 @lru_cache(maxsize=256)
 def _mesh_features(model, sizes) -> np.ndarray:
-    """``_features`` on the mesh, computed once per (model, block sizes)."""
-    features = _features(model, sizes, _MESH_LV)
+    """``_kernel_features`` on the mesh, computed once per (model, block sizes)."""
+    features = _kernel_features(model, sizes, _MESH_LV)
     features.flags.writeable = False  # every caller shares it
     return features
 

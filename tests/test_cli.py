@@ -13,6 +13,7 @@ from nbpk import sampler
 from nbpk.cli import _SUITES, main
 from nbpk.coalescent import _LATTICE_LIMIT, RateFunction
 from nbpk.numerics import _INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME
+from nbpk.partitions import _ENUM_LIMIT
 
 PD_ARGS = ["--model", "gengamma", "--alpha", "0.5", "--r", "2"]
 
@@ -174,7 +175,7 @@ def test_show_config(capsys):
     assert set(printed) == {"quadrature.rule", "quadrature.initial_panels",
                             "quadrature.initial_points", "quadrature.rel_tol",
                             "quadrature.max_subdiv", "default.seed", "default.phi",
-                            "coalescent.lattice_limit"}
+                            "coalescent.lattice_limit", "coalescent.h0_limit"}
     assert printed["quadrature.rule"] == _RULE_NAME
     assert int(printed["quadrature.initial_panels"]) == _INITIAL_PANELS
     assert int(printed["quadrature.initial_points"]) == _MESH_T.size == 15 * _INITIAL_PANELS
@@ -182,6 +183,7 @@ def test_show_config(capsys):
     assert int(printed["quadrature.max_subdiv"]) == _MAX_SUBDIVISIONS
     assert printed["default.phi"] == RateFunction().kind.value
     assert int(printed["coalescent.lattice_limit"]) == _LATTICE_LIMIT
+    assert int(printed["coalescent.h0_limit"]) == _ENUM_LIMIT
 
 
 @pytest.mark.parametrize("argv", [

@@ -231,13 +231,22 @@ def test_h_solver_matches_monte_carlo():
 
 
 def test_h_solver_rejects_large_n():
-    # Only the lattice routes, a custom phi or a given h0, enumerate the classes below n.
+    # Only the lattice routes enumerate the classes below n: a custom phi exponentiates
+    # t G on them up to n = 12, a given h0 under a built-in clock reads their visit
+    # probabilities up to n = 40, where it gives the default h0's level route.
     phi = RateFunction(RateKind.TOTAL_N)
     with pytest.raises(ValueError, match="too large"):
         h_solver_exact(Configuration((13,)), RateFunction(RateKind.CUSTOM, custom=lambda c: 1.0))
+    absorbed = lambda c: 1.0 if c.sorted_counts() == (1,) else 0.0
+    times = (0.0, 0.5, 1.0, 2.0)
+    for start in ((13,), (10, 8, 6, 4, 2), (40,)):
+        for clock in (phi, RateFunction(RateKind.TOTAL_N_CHOOSE_2)):
+            got = h_solver_exact(Configuration(start), clock, h0=absorbed, t_grid=times)
+            want = h_solver_exact(Configuration(start), clock, t_grid=times)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-16, err_msg=f"{start}")
     with pytest.raises(ValueError, match="too large"):
-        h_solver_exact(Configuration((13,)), phi, h0=lambda c: 1.0)
-    assert h_solver_exact(Configuration((13,)), phi).shape == (2,)
+        h_solver_exact(Configuration((41,)), phi, h0=lambda c: 1.0)
+    assert h_solver_exact(Configuration((41,)), phi).shape == (2,)
     with pytest.raises(ValueError):
         h_solver_exact(Configuration((2,)), phi, t_grid=(-1.0,))
 

@@ -227,35 +227,41 @@ def test_kernel_rows_equal_the_one_size_kernels_bitwise(model, lv):
        lv=st.floats(min_value=-800.0, max_value=800.0))
 @example(alpha=0.5, sizes=[1, 2, 3], lv=0.3)
 def test_one_point_kernel_rows_equal_a_column_bitwise(alpha, sizes, lv):
-    # An lv of one point reads the kernel in scalars; a column of two reads it with masks.
-    # Both give the same bits, also at each shape's switch between the series and the
-    # complement (x = s + 1) and its neighbours, where v underflows, and where it overflows.
-    model, sizes = LevyModel.truncated_stable(alpha), tuple(sizes)
+    # An lv of one point reads the kernel as an urn step does: the truncated stable in
+    # scalars, the other families into a feature array of one column.  A column of two
+    # reads it as a quadrature does.  Both give the same bits, also at each truncated
+    # stable shape's switch between the series and the complement (x = s + 1) and its
+    # neighbours, where v underflows, and where it overflows.  alpha is gamma's theta.
+    sizes = tuple(sizes)
     switches = [math.log(s + 1.0) for s in (1.0 - alpha, *(m - alpha for m in sizes))]
-    for point in (lv, -745.0, 709.78, 800.0, *switches,
-                  *(np.nextafter(t, d) for t in switches for d in (-np.inf, np.inf))):
-        one = log_kernels_lv(model, sizes, [point])
-        column = log_kernels_lv(model, sizes, [point, 0.5])
-        assert one.shape == (1 + len(sizes), 1)
-        assert one[:, 0].tobytes() == column[:, 0].tobytes(), point
+    for family in (LevyModel.stable, LevyModel.gamma, LevyModel.generalized_gamma,
+                   LevyModel.truncated_stable):
+        model = family(alpha)
+        for point in (lv, -745.0, 709.78, 800.0, *switches,
+                      *(np.nextafter(t, d) for t in switches for d in (-np.inf, np.inf))):
+            one = log_kernels_lv(model, sizes, [point])
+            column = log_kernels_lv(model, sizes, [point, 0.5])
+            assert one.shape == (1 + len(sizes), 1)
+            assert one[:, 0].tobytes() == column[:, 0].tobytes(), (model, point)
 
 
 def test_one_point_kernel_features_against_mpmath():
     # The one-point read's own values: log psi = log(e^-v + v^alpha gamma(1 - alpha, v)),
-    # then log gamma(m - alpha, v) per size (log pi_m adds an affine term in lv to it).
+    # lv twice (as itself and as f), then log gamma(m - alpha, v) per size (log pi_m adds
+    # an affine term in lv to it).
     sizes = (1, 2, 7, 50, 500, 1000)
     for alpha in (0.1, 0.5, 0.9):
         model = LevyModel.truncated_stable(alpha)
         for lv in np.concatenate([np.linspace(-800.0, 800.0, 21), np.linspace(-3.0, 7.5, 22)]):
             got = _kernel_features(model, sizes, np.array([lv]))[:, 0]
-            assert got[1] == lv
+            assert got[1] == got[2] == lv
             with mpmath.workdps(40):
                 v = mpmath.exp(lv)
                 psi = mpmath.exp(-v) + v ** alpha * mpmath.gammainc(1 - alpha, 0, v)
             # log psi is near 0 for small v: 1e-13 relative on psi itself
             assert got[0] == pytest.approx(float(mpmath.log(psi)), rel=1e-13, abs=1e-13), lv
             want = [_mp_log_lower_gamma(m - alpha, lv) for m in sizes]
-            np.testing.assert_allclose(got[2:], want, rtol=1e-13, atol=0,
+            np.testing.assert_allclose(got[3:], want, rtol=1e-13, atol=0,
                                        err_msg=f"alpha = {alpha}, lv = {lv}")
 
 
