@@ -22,7 +22,7 @@ from .coalescent import (_LATTICE_LIMIT, RateFunction, RateKind, _lattice, h_sol
                          history_to_json_lines, simulate_backward)
 from .levy_models import LevyModel, ModelParamsR, _pi_coefficients, _shape_constants
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
-                       QuadratureError)
+                       QuadratureError, _panel_map)
 from .partitions import _ENUM_LIMIT, Configuration
 from .posterior import _mesh_features, log_eppf, predictive_weights
 from .sampler import _urn, _v_sampler, run_chain
@@ -199,7 +199,8 @@ def _cmd_validate(args) -> int:
                               ("urn class", _urn, "classes"), ("V sampler", _v_sampler, "samplers"),
                               ("lattice", _lattice, "lattices"),
                               ("pi coefficient", _pi_coefficients, "size sets"),
-                              ("shape constant", _shape_constants, "shape sets")):
+                              ("shape constant", _shape_constants, "shape sets"),
+                              ("panel map", _panel_map, "panels")):
         hits, misses, _, size = cache.cache_info()
         print(f"{name} cache: {hits} hits, {misses} misses, {size} {unit}", file=sys.stderr)
     _emit_table(rows, ["suite", "check", "value", "status"], args.csv)

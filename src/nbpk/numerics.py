@@ -9,12 +9,15 @@ The engine bisects panels with the nested Gauss-Kronrod rule: one evaluation
 at a panel's 15 Kronrod nodes gives its mass and, through the embedded 7-point
 Gauss rule, its error.  Every integral's first round is one fixed, precomputed
 mesh, whose lv array ``_MESH_LV`` an integrand may recognise and cache columns on.
+Every panel is a mesh panel or a dyadic half of one, so each panel's mapped nodes
+are computed once per process and cached on its edges (``_panel_map``).
 The grid sampler's CDF integrates the interpolant of each converged panel's K15
 values up to its nodes, so sampling reads the same panels and the same rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -78,9 +81,10 @@ _EDGES = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
 
 
 def _panel_nodes(a, b):
-    """The K15 nodes of panels [a_i, b_i], panel by panel in one flat array."""
+    """The K15 nodes of panels [a_i, b_i], or of one panel [a, b], in one flat array."""
     # One halving, after the sum: halving is exact, so these are 0.5 (a + b) + 0.5 (b - a) x's bits.
-    return (0.5 * ((a + b)[:, None] + (b - a)[:, None] * _K15_NODES)).ravel()
+    mid2, width = np.asarray(a + b)[..., None], np.asarray(b - a)[..., None]
+    return (0.5 * (mid2 + width * _K15_NODES)).ravel()
 
 
 def _log_expm1(w):
@@ -93,16 +97,29 @@ def _log_expm1(w):
     return out
 
 
-def _compound_map(t):
-    """lv = log v at nodes t in (0, 1), for v = exp(w) - 1, w = t/(1-t), and the two
-    terms of the log Jacobian log dv/dt = w - 2 log(1-t): w and 2 log(1-t)."""
+@functools.lru_cache(maxsize=4096)
+def _panel_map(a, b):
+    """Panel [a, b]'s K15 nodes t mapped once: read-only rows [lv, w, 2 log(1-t)] at the
+    nodes strictly inside (0, 1), and those nodes' mask among the 15.
+
+    lv = log v for v = exp(w) - 1, w = t/(1-t), and w - 2 log(1-t) = log dv/dt.  A
+    node that rounds onto t = 0 or t = 1 maps to v = 0 or v = inf; an integrable
+    integrand vanishes there, so refinement scores it -inf.  The panels are the 16
+    mesh panels and their dyadic halves, a fixed tree whatever the integrand.
+    """
+    t = _panel_nodes(a, b)
+    ok = (t > 0.0) & (t < 1.0)
+    t = t[ok]
     w = t / (1.0 - t)
-    return _log_expm1(w), w, 2.0 * np.log1p(-t)
+    rows = np.array([_log_expm1(w), w, 2.0 * np.log1p(-t)])
+    rows.flags.writeable = ok.flags.writeable = False
+    return rows, ok
 
 
 # The first round's nodes, all inside (0, 1), mapped once and read-only.
 _MESH_T = _panel_nodes(_EDGES[:-1], _EDGES[1:])
-_MESH_LV, _MESH_W, _MESH_2LOG1M = _compound_map(_MESH_T)
+_MESH_LV, _MESH_W, _MESH_2LOG1M = np.concatenate(
+    [_panel_map(a, b)[0] for a, b in zip(_EDGES[:-1].tolist(), _EDGES[1:].tolist())], axis=1)
 for _a in (_MESH_T, _MESH_LV, _MESH_W, _MESH_2LOG1M):
     _a.flags.writeable = False
 _MESH_RULE = (0.5 / _INITIAL_PANELS) * _RULE_COLUMNS  # times the panels' half-width: exact
@@ -114,23 +131,6 @@ def _log_f(log_f_lv, lv):
     if np.ndim(vals) not in (1, 2) or np.shape(vals)[-1] != lv.size:
         raise ValueError(f"log integrand returned shape {np.shape(vals)} for {lv.shape} points")
     return vals
-
-
-def _log_g(log_f_lv, t):
-    """The integrand pulled back to the flat nodes t: log f(lv) + log dv/dt; rows + (N,).
-
-    Nodes that round onto t = 0 or t = 1 map to v = 0 or v = inf; an integrable
-    integrand vanishes there, so they score -inf.
-    """
-    if 0.0 < t.min() and t.max() < 1.0:  # every node inside (0, 1): no mask
-        lv, w, two_log1m_t = _compound_map(t)
-        return _log_f(log_f_lv, lv) + w - two_log1m_t  # round 1's order: one value a node
-    ok = (t > 0.0) & (t < 1.0)
-    lv, w, two_log1m_t = _compound_map(t[ok])
-    vals = _log_f(log_f_lv, lv)
-    out = np.full(vals.shape[:-1] + t.shape, -np.inf)
-    out[..., ok] = vals + w - two_log1m_t
-    return out
 
 
 class _Panels(NamedTuple):
@@ -152,7 +152,8 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
     row converges there, the pass is one integrand call, one max, one exp, one
     rule product and one test.  Otherwise refinement starts from round 1's values,
     maxima and panel sums (bit for bit a later round's: the half-width 1/32 is a power
-    of two); each later round evaluates the new panels' nodes and sums every panel.
+    of two); each later round reads the new panels' cached maps, evaluates the
+    integrand once on their concatenated nodes and sums every panel.
     """
     a, b, splits = _EDGES[:-1], _EDGES[1:], 0
     with np.errstate(all="ignore"):
@@ -202,7 +203,14 @@ def _log_integrate_unit(log_f_lv) -> _Panels:
             mid = 0.5 * (split_a + split_b)
             a = np.concatenate([a[keep], split_a, mid])
             b = np.concatenate([b[keep], mid, split_b])
-            new = _log_g(log_f_lv, _panel_nodes(a[-2 * count:], b[-2 * count:]))
+            # The new panels' cached maps, one integrand call, Jacobian terms as in round 1.
+            maps, oks = zip(*map(_panel_map, a[-2 * count:].tolist(), b[-2 * count:].tolist()))
+            lv, w, two_log1m_t = np.concatenate(maps, axis=1)
+            new = _log_f(log_f_lv, lv) + w - two_log1m_t
+            if lv.size < 30 * count:  # a node that rounds onto t = 0 or 1 scores -inf
+                full = np.full(new.shape[:-1] + (30 * count,), -np.inf)
+                full[..., np.concatenate(oks)] = new
+                new = full
             l15 = np.concatenate([l15[..., keep, :], new.reshape(new.shape[:-1] + (-1, 15))],
                                  axis=-2)
             m = l15.max(axis=(-2, -1))

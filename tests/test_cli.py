@@ -107,7 +107,8 @@ def test_validate_times_each_suite_on_stderr(capsys):
                             r"V sampler cache: \d+ hits, \d+ misses, \d+ samplers\n"
                             r"lattice cache: \d+ hits, \d+ misses, \d+ lattices\n"
                             r"pi coefficient cache: \d+ hits, \d+ misses, \d+ size sets\n"
-                            r"shape constant cache: \d+ hits, \d+ misses, \d+ shape sets\n",
+                            r"shape constant cache: \d+ hits, \d+ misses, \d+ shape sets\n"
+                            r"panel map cache: \d+ hits, \d+ misses, \d+ panels\n",
                             captured.err)
         outs.append(captured.out)
     # The table alone goes to stdout, unchanged by the timings.

@@ -292,17 +292,75 @@ def test_refinement_of_a_stack_with_a_dead_row_matches_the_stack_without_it():
     assert dead.a.tobytes() == live.a.tobytes()
 
 
-def test_log_g_scores_nodes_on_the_ends_minus_infinity():
-    # Nodes that round onto t = 0 or 1 (v = 0 or v = inf) take the masked path;
-    # the nodes inside (0, 1) keep the bits of the direct path.
-    rows = _log_g_r_rows(ModelParamsR(LevyModel.stable(0.5), 1.5), [(2,), (3, 1)])
-    inside = np.array([1e-300, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
-    t = np.concatenate([[0.0], inside[:3], [1.0], inside[3:]])
-    got = numerics._log_g(rows, t)
-    want = numerics._log_g(rows, inside)
-    assert got.shape == (2, 7) and np.isfinite(want).all()
-    assert (got[:, [0, 4]] == -np.inf).all()
-    assert np.delete(got, [0, 4], axis=1).tobytes() == want.tobytes()
+def _pulled_back(log_f, t):
+    """The integrand pulled back to the nodes t one node at a time: log f(lv) + w - 2 log(1-t),
+    with w = t/(1-t) and lv = log(e^w - 1); rows + (N,), -inf where t is 0 or 1."""
+    t = np.asarray(t, float)
+    inside = (t > 0.0) & (t < 1.0)
+    cols = []
+    for x in t[inside].reshape(-1, 1):
+        w = x / (1.0 - x)
+        cols.append(log_f(numerics._log_expm1(w)) + w - 2.0 * np.log1p(-x))
+    out = np.full(cols[0].shape[:-1] + t.shape, -np.inf)
+    out[..., inside] = np.concatenate(cols, axis=-1)
+    return out
+
+
+def test_panel_map_keeps_the_nodes_inside_the_unit_interval():
+    # Tree panels at both ends: a node that rounds onto t = 0 or 1 (v = 0 or inf)
+    # is masked out; the others carry the bits of the node-by-node map.
+    panels = [(0.0, 2.0 ** -1070), (0.0, 2.0 ** -40), (0.5, 0.5625), (1.0 - 2.0 ** -50, 1.0)]
+    for a, b in panels:
+        rows, ok = numerics._panel_map(a, b)
+        t = numerics._panel_nodes(a, b)
+        assert ok.tobytes() == ((t > 0.0) & (t < 1.0)).tobytes()
+        assert rows.shape == (3, ok.sum()) and not rows.flags.writeable
+        for (lv, w, two_log1m_t), x in zip(rows.T.tolist(), t[ok].tolist()):
+            x = np.array([x])
+            wx = x / (1.0 - x)
+            assert [lv, w, two_log1m_t] == [numerics._log_expm1(wx)[0], wx[0],
+                                            (2.0 * np.log1p(-x))[0]]
+    assert [numerics._panel_map(a, b)[1].sum() for a, b in panels] == [13, 15, 15, 13]
+
+
+def test_refined_values_are_the_node_by_node_pull_back():
+    # gamma(0.3) r=0.5 at (1,) refines its tail down to panels whose nodes round
+    # onto t = 1: they score -inf, and every other node has the pull-back's bits.
+    rows = _log_g_r_rows(ModelParamsR(LevyModel.gamma(0.3), 0.5), [(1,)])
+    panels = numerics._log_integrate_unit(rows)
+    t = numerics._panel_nodes(panels.a, panels.b)
+    assert (t == 1.0).any()
+    assert panels.l15.reshape(1, -1).tobytes() == _pulled_back(rows, t).tobytes()
+
+
+# Three integrals that refine: stable's singular EPPF at (2,) (48 rounds), its
+# five-row prediction stack at (3, 2, 1) and gamma(0.3)'s tail at r = 0.5 at (1,).
+_REFINED = {
+    "stable-2": _log_g_r_rows(ModelParamsR(LevyModel.stable(0.5), 1.5), [(2,)]),
+    "stable-stack": _log_g_r_rows(ModelParamsR(LevyModel.stable(0.5), 1.5),
+                                  [(3, 2, 1), *_enlarged((3, 2, 1))]),
+    "gamma-tail": _log_g_r_rows(ModelParamsR(LevyModel.gamma(0.3), 0.5), [(1,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFINED))
+def test_refinement_does_not_depend_on_the_panel_cache(name):
+    # Cold cache, a cache warmed by the other integrals, and a repeat that adds no miss.
+    def dump():
+        panels = numerics._log_integrate_unit(_REFINED[name])
+        return [np.asarray(x).tobytes() for x in panels]
+
+    numerics._panel_map.cache_clear()
+    cold = dump()
+    numerics._panel_map.cache_clear()
+    for other in _REFINED:
+        if other != name:
+            numerics._log_integrate_unit(_REFINED[other])
+    assert dump() == cold
+    before = numerics._panel_map.cache_info()
+    assert dump() == cold
+    after = numerics._panel_map.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 @pytest.mark.parametrize("model,r,counts", [
@@ -315,8 +373,8 @@ def test_grid_sampler_cdf_matches_quad(model, r, counts):
     log_g = _log_g_r_row(ModelParamsR(model, r), counts)
     sampler = LogDensityGridSampler(log_g)
     t, cdf, slope = sampler._t, sampler._cdf, sampler._slope
-    shift = numerics._log_g(log_g, t[1:-1]).max()
-    g = lambda x: math.exp(numerics._log_g(log_g, np.array([x]))[0] - shift)
+    shift = _pulled_back(log_g, t[1:-1]).max()
+    g = lambda x: math.exp(_pulled_back(log_g, [x])[0] - shift)
     oracle = lambda x: quad(g, 0.0, x, epsrel=1e-13, limit=500)[0]
     total = oracle(1.0)
     for i in np.argsort(np.diff(cdf))[-40:]:
@@ -331,7 +389,7 @@ def test_grid_sampler_gives_dead_cells_no_mass():
     log_f = lambda lv: np.where(lv < 0.0, lv, -np.inf)
     sampler = LogDensityGridSampler(log_f)
     with np.errstate(divide="ignore"):
-        ends = numerics._log_g(log_f, sampler._t)
+        ends = _pulled_back(log_f, sampler._t)
     dead = np.isneginf(ends[:-1]) & np.isneginf(ends[1:])
     assert dead.sum() > 100 and not np.diff(sampler._cdf)[dead].any()
 

@@ -14,7 +14,7 @@ from scipy.special import gammainc
 
 from nbpk import numerics, posterior, reference, sampler
 from nbpk.levy_models import LevyModel, ModelKind, ModelParamsR, _kernel_features, log_pi_n_lv
-from nbpk.numerics import (_MESH_LV, _MESH_T, LogDensityGridSampler, QuadratureError,
+from nbpk.numerics import (_MESH_LV, LogDensityGridSampler, QuadratureError,
                            log_integrate_halfline_logv)
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
@@ -352,9 +352,13 @@ def test_mesh_path_matches_the_general_path_bitwise(params, monkeypatch):
             b"".join(a.tobytes() for a in (s._t, s._cdf, s._slope)) for s in samplers]
 
     on_mesh = run()
-    # Refinement's node map gives the mesh nodes the values round 1 gives them.
+    # Refinement's per-panel map, computed afresh, gives the mesh nodes round 1's values.
     round1 = stack(_MESH_LV) + numerics._MESH_W - numerics._MESH_2LOG1M
-    assert numerics._log_g(stack, _MESH_T.copy()).tobytes() == round1.tobytes()
+    numerics._panel_map.cache_clear()
+    edges = numerics._EDGES.tolist()
+    lv, w, two_log1m_t = np.concatenate(
+        [numerics._panel_map(a, b)[0] for a, b in zip(edges[:-1], edges[1:])], axis=1)
+    assert lv is not _MESH_LV and (stack(lv) + w - two_log1m_t).tobytes() == round1.tobytes()
     monkeypatch.setattr(numerics, "_MESH_LV", _MESH_LV.copy())
     assert run() == on_mesh
     assert np.frombuffer(on_mesh[0])[-1] == -np.inf
