@@ -14,31 +14,22 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "rising",
     "pd_log_eppf",
     "pd_predictive",
     "pd_backward_ratio",
 ]
 
 
-def rising(x: float, m: int) -> float:
-    """Rising factorial x (x+1) ... (x+m-1); equals 1 for m = 0."""
-    out = 1.0
-    for j in range(m):
-        out *= x + j
-    return out
+def _log_rising(x: float, m: int) -> float:
+    """log of the rising factorial x (x+1) ... (x+m-1), for x > 0; 0 for m = 0."""
+    return math.lgamma(x + m) - math.lgamma(x)
 
 
 def pd_log_eppf(alpha: float, theta: float, counts: Sequence[int]) -> float:
-    """log EPPF of the two-parameter family (theta = 0 allowed)."""
-    k = len(counts)
-    n = sum(counts)
-    num = 1.0
-    for i in range(1, k):
-        num *= theta + i * alpha
-    for ni in counts:
-        num *= rising(1.0 - alpha, ni - 1)
-    return math.log(num) - math.log(rising(theta + 1.0, n - 1))
+    """log EPPF of the two-parameter family (theta = 0 allowed), summed in logs at any n."""
+    out = sum(math.log(theta + i * alpha) for i in range(1, len(counts)))
+    out += sum(_log_rising(1.0 - alpha, ni - 1) for ni in counts)
+    return out - _log_rising(theta + 1.0, sum(counts) - 1)
 
 
 def pd_predictive(alpha: float, theta: float, counts: Sequence[int]) -> np.ndarray:

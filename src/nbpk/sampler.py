@@ -155,12 +155,14 @@ def run_chain(params: ModelParamsR, n_target: int, seed: int,
         raise ValueError("n_target must be >= 1")
     rng = np.random.default_rng(seed)
     trace = [] if keep_v_trace else None
-    config = None
-    for _ in range(n_target):
+    config = Configuration((1,))  # the first observation opens a block whatever V_1 is
+    for _ in range(n_target - 1):
         lv = _urn(params, _class_key(params, config)).sampler.sample_lv(rng)
         if trace is not None:
             trace.append(_capped_exp(lv))
         config = urn_step(params, config, lv, rng)
+    if trace is not None:  # V_1 comes last, so the trace leaves the partition as it is
+        trace.insert(0, _capped_exp(_urn(params, ()).sampler.sample_lv(rng)))
     return GibbsSampleRecord(
         final_config=config,
         k=config.k,

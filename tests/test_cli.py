@@ -83,16 +83,16 @@ def test_validate_multiple_suites(capsys):
 
 
 def test_validate_reports_the_urn_class_cache(capsys):
-    # 50 chains to n = 3 per model look a class up before each V draw and again in
-    # each pick after the first: 5 lookups a chain.  A Gibbs-type model's classes
-    # are the (n, k) of the draws, (0, 0), (1, 1), (2, 1) and (2, 2); truncstable's
-    # are the multisets (), (1,), (2,) and (1, 1).
+    # 50 chains to n = 3 per model start at (1,) and look a class up before each of
+    # the two V draws and again in each pick: 4 lookups a chain.  A Gibbs-type model's
+    # classes are the (n, k) of the draws, (1, 1), (2, 1) and (2, 2); truncstable's
+    # are the multisets (1,), (2,) and (1, 1).  The untraced chains never build ().
     sampler._urn.cache_clear()
     main(["validate", "--suite", "gibbs", "--n-max", "3", "--reps", "50"])
     line = re.search(r"^urn class cache: (\d+) hits, (\d+) misses, (\d+) classes$",
                      capsys.readouterr().err, re.MULTILINE)
     hits, misses, size = map(int, line.groups())
-    assert (hits + misses, misses, size) == (4 * 50 * 5, 16, 16)
+    assert (hits + misses, misses, size) == (4 * 50 * 4, 12, 12)
 
 
 def test_validate_times_each_suite_on_stderr(capsys):

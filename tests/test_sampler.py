@@ -206,6 +206,15 @@ def test_run_chain_deterministic():
     assert a.afs.m == tuple(x for x in a.afs.m)  # tuple typed
 
 
+@pytest.mark.parametrize("params", URN_MODELS[:4], ids=lambda p: p.model.describe())
+def test_v_trace_leaves_the_partition_as_it_is(params):
+    # No pick reads V_1, so the walk draws V_2..V_n and the trace draws V_1 after it.
+    for seed in range(200):
+        plain, traced = run_chain(params, 5, seed), run_chain(params, 5, seed, keep_v_trace=True)
+        assert traced.final_config == plain.final_config and plain.v_trace is None
+        assert len(traced.v_trace) == 5
+
+
 def test_run_chain_pair_probability():
     # p((2)) = 0.25 for the two-parameter (0.5, 1) case
     reps = 20_000
