@@ -24,7 +24,7 @@ from .levy_models import LevyModel, ModelParamsR, _pi_coefficients, _shape_const
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
                        QuadratureError, _panel_map)
 from .partitions import _ENUM_LIMIT, Configuration
-from .posterior import _mesh_features, log_eppf, predictive_weights
+from .posterior import _class_shift, _mesh_features, log_eppf, predictive_weights
 from .sampler import _urn, _v_sampler, run_chain
 
 DEFAULT_SEED = 1729
@@ -196,6 +196,7 @@ def _cmd_validate(args) -> int:
             rows.append([name, label, f"{value:.3g}", "PASS" if ok else "FAIL"])
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     for name, cache, unit in (("mesh feature", _mesh_features, "matrices"),
+                              ("EPPF class", _class_shift, "classes"),
                               ("urn class", _urn, "classes"), ("V sampler", _v_sampler, "samplers"),
                               ("lattice", _lattice, "lattices"),
                               ("pi coefficient", _pi_coefficients, "size sets"),

@@ -141,26 +141,38 @@ class _Panels(NamedTuple):
     log_total: np.ndarray  # log of each row's integral, shape rows; -inf for a row that is zero
 
 
+def _mesh_round(log_f_lv):
+    """Round 1, on the mesh, under the caller's ``np.errstate``: l15 (the log integrand plus the
+    Jacobian terms, shape rows + (16, 15)), each row's max m and its panels' rule sums."""
+    l15 = _log_f(log_f_lv, _MESH_LV) + _MESH_W - _MESH_2LOG1M
+    l15 = l15.reshape(l15.shape[:-1] + (_INITIAL_PANELS, 15))
+    m = l15.max(axis=(-2, -1))
+    return l15, m, np.exp(l15 - m[..., None, None]) @ _MESH_RULE
+
+
+def _log_integrate_mesh(log_f_lv):
+    """Each row's log integral from round 1 alone, as the engine's; None if a row would refine."""
+    with np.errstate(all="ignore"):
+        _, m, sums = _mesh_round(log_f_lv)
+        total = sums[..., 0].sum(axis=-1)
+        if (np.abs(sums[..., 1]).sum(axis=-1) <= _REL_TOL * total).all():
+            return m + np.log(total)
+
+
 def _log_integrate_unit(log_f_lv) -> _Panels:
     """Adaptive Gauss-Kronrod bisection of (0, 1) until every row's K15 total converges.
 
     This is the package's one adaptive engine: the integrator reads the
     returned totals and the grid sampler builds its CDF from the same panels.
     All rows share the panels; each row has its own test
-    err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.
-    Round 1 is the mesh, whose lv and Jacobian terms are precomputed: when every
-    row converges there, the pass is one integrand call, one max, one exp, one
-    rule product and one test.  Otherwise refinement starts from round 1's values,
-    maxima and panel sums (bit for bit a later round's: the half-width 1/32 is a power
-    of two); each later round reads the new panels' cached maps, evaluates the
-    integrand once on their concatenated nodes and sums every panel.
+    err_j <= _REL_TOL * total_j, with |K15 - G7| as each panel's error.  Round 1 is
+    ``_mesh_round``; refinement starts from its values, maxima and panel sums (bit for
+    bit a later round's: the half-width 1/32 is a power of two), and each later round reads
+    the new panels' cached maps and evaluates the integrand once on their nodes.
     """
     a, b, splits = _EDGES[:-1], _EDGES[1:], 0
     with np.errstate(all="ignore"):
-        l15 = _log_f(log_f_lv, _MESH_LV) + _MESH_W - _MESH_2LOG1M
-        l15 = l15.reshape(l15.shape[:-1] + (_INITIAL_PANELS, 15))
-        m = l15.max(axis=(-2, -1))
-        sums = np.exp(l15 - m[..., None, None]) @ _MESH_RULE
+        l15, m, sums = _mesh_round(log_f_lv)
         while True:
             err = np.abs(sums[..., 1])
             total, total_err = sums[..., 0].sum(axis=-1), err.sum(axis=-1)

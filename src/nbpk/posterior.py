@@ -3,10 +3,11 @@
 Every integral here is an EPPF.  ``_log_g_r_rows`` assembles log g_r(v, c) for
 a stack of configurations c from log v alone, as one coefficient matrix times
 the kernel features (log psi, log v, f), and the shift-invariant quadrature in
-:mod:`nbpk.numerics` integrates the stack on one panel set.  The prediction
+:mod:`nbpk.numerics` integrates the stack on one panel set, unless every class
+(n, k) of a Gibbs-type stack converges on its first-round mesh: such a class is
+integrated once and serves each member's EPPF (``_log_eppfs``).  The prediction
 weights are EPPFs of the configurations enlarged by one observation, and the
-backward terms (n_i/n) p(n) need only p(n).  The features on the quadrature's
-first-round mesh are stacked once per model (truncstable: per set of block sizes).
+backward terms (n_i/n) p(n) need only p(n).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv
 
 from .levy_models import ModelKind, ModelParamsR, _kernel_features, _pi_coefficients
-from .numerics import _MESH_LV, log_integrate_halfline_logv
+from .numerics import _MESH_LV, _log_integrate_mesh, log_integrate_halfline_logv
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 
 __all__ = [
@@ -71,8 +72,9 @@ def _log_g_r_rows(params: ModelParamsR, configs):
     log Gamma(n_c), where log pi_m = c_m + b_m f(lv) (plus a log gamma(m - alpha, v) column
     per size m for the truncated stable).  So all rows are one product of a coefficient
     matrix, built here once, with the features [log psi, lv, f, ...], one matrix per
-    Gibbs-type model.  Working from lv = log v keeps the Gamma-family tail (where v
-    overflows a float but log v does not) evaluable.  A configuration may be a tuple.
+    Gibbs-type model; the returned function's ``const`` holds each const_c.  Working from
+    lv = log v keeps the Gamma-family tail (where v overflows a float but log v does not)
+    evaluable.  A configuration may be a tuple.
     """
     model, r = params.model, params.r
     stack = [c.counts if isinstance(c, Configuration) else c for c in configs]
@@ -96,6 +98,7 @@ def _log_g_r_rows(params: ModelParamsR, configs):
             return const + coef @ _mesh_features(model, sizes)
         return const + coef @ _kernel_features(model, sizes, lv)
 
+    log_g.const = rows[:, 0]
     return log_g
 
 
@@ -121,14 +124,37 @@ def _enlarged(counts):
                               for i in map(counts.index, sorted(set(counts)))]
 
 
+def _gibbs(params: ModelParamsR) -> bool:
+    """Whether the model's EPPF is of Gibbs type, so its configuration classes are (n, k)."""
+    return params.model.kind is not ModelKind.TRUNCATED_STABLE
+
+
+def _representative(params: ModelParamsR, key):
+    """The sorted counts standing for class key: (n - k + 1, 1, ..., 1) if Gibbs type, else key."""
+    return (key[0] - key[1] + 1,) + (1,) * (key[1] - 1) if _gibbs(params) else key
+
+
+@lru_cache(maxsize=4096)
+def _class_shift(params: ModelParamsR, key):
+    """log p(rep) - const_rep, rep the representative of the Gibbs-type class key = (n, k), so
+    log p(c) = const_c + this for c in the class; None if rep's mesh pass would refine."""
+    rows = _log_g_r_rows(params, [_representative(params, key)])
+    log_p = _log_integrate_mesh(rows)
+    return None if log_p is None else float(log_p[0] - rows.const[0])
+
+
 def _log_eppfs(params: ModelParamsR, configs) -> np.ndarray:
-    """log p(c) for every configuration c, from one shared-panel quadrature pass."""
-    return log_integrate_halfline_logv(_log_g_r_rows(params, configs))
+    """log p(c) for every tuple of block sizes c, the one entry of every EPPF here: const_c +
+    ``_class_shift`` when every Gibbs-type class (n, k) of the stack converges on the mesh,
+    else one shared-panel pass (a refined pass's panels depend on the whole stack)."""
+    rows = _log_g_r_rows(params, configs)
+    shifts = [_class_shift(params, (sum(c), len(c))) for c in configs] if _gibbs(params) else [None]
+    return log_integrate_halfline_logv(rows) if None in shifts else rows.const + shifts
 
 
 def log_eppf(params: ModelParamsR, config: Configuration) -> float:
     """log p(n): the auxiliary density integrated over the half line."""
-    return float(_log_eppfs(params, [config])[0])
+    return float(_log_eppfs(params, [config.counts])[0])
 
 
 def log_v_moment(params: ModelParamsR, config: Configuration, power: float) -> float:
@@ -156,10 +182,8 @@ def predictive_weights(params: ModelParamsR, config: Configuration) -> Predictiv
     block) and omega_i = n p(n + e_i), because pointwise in v
     v (r+k) pi_1/psi g_r(v, n) = n g_r(v, n + new) and
     v pi_{n_i+1}/pi_{n_i} g_r(v, n) = n g_r(v, n + e_i).  p(n), the new-block
-    EPPF and one enlarged EPPF per distinct block size come from one
-    shared-panel pass.  They are checked by the prediction-sum identity
-    (``check_prediction_sum``, ``PredictiveWeights.normalized``), the EPPF's
-    consistency under adding one observation.
+    EPPF and one enlarged EPPF per distinct block size are one ``_log_eppfs``
+    stack; the prediction-sum identity (``check_prediction_sum``) checks them.
     """
     counts = config.counts
     logs = _log_eppfs(params, [counts, *_enlarged(counts)]).tolist()
@@ -184,7 +208,7 @@ def check_partition_normalization(params: ModelParamsR, n: int) -> float:
         raise ValueError("full-normalization check is intended for small n (<= 12)")
     classes = enumerate_afs(n)
     log_coef = np.array([log_partition_coefficient(m) for m in classes])
-    log_p = _log_eppfs(params, [m.to_configuration() for m in classes])
+    log_p = _log_eppfs(params, [m.to_configuration().counts for m in classes])
     return abs(float(np.exp(log_coef + log_p).sum()) - 1.0)
 
 

@@ -19,10 +19,10 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .levy_models import ModelKind, ModelParamsR
+from .levy_models import ModelParamsR
 from .numerics import LogDensityGridSampler
 from .partitions import AFSVector, Configuration, afs
-from .posterior import _enlarged, _log_g_r_row, _log_g_r_rows
+from .posterior import _enlarged, _gibbs, _log_g_r_row, _log_g_r_rows, _representative
 
 __all__ = [
     "GibbsSampleRecord",
@@ -78,22 +78,9 @@ class _Urn(NamedTuple):
     sampler: LogDensityGridSampler
 
 
-def _class_key(params: ModelParamsR, config: Optional[Configuration]):
-    """The urn class of config: () before the first draw, then (n, k) for a Gibbs-type model."""
-    if config is None:
-        return ()
+def _class_key(params: ModelParamsR, config: Configuration):
+    """The urn class of config: (n, k) for a Gibbs-type model, else its sorted counts."""
     return (config.n, config.k) if _gibbs(params) else config.sorted_counts()
-
-
-def _gibbs(params: ModelParamsR) -> bool:
-    """Whether the urn classes are (n, k): the model's EPPF is of Gibbs type."""
-    return params.model.kind is not ModelKind.TRUNCATED_STABLE
-
-
-def _representative(params: ModelParamsR, key):
-    """Sorted counts in the class of key: (n - k + 1, 1, ..., 1) for a Gibbs-type (n, k), whose
-    g_r differs from every member's by a constant factor; else the key itself."""
-    return (key[0] - key[1] + 1,) + (1,) * (key[1] - 1) if key and _gibbs(params) else key
 
 
 @lru_cache(maxsize=4096)

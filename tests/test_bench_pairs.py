@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,11 @@ def _pairs(parent_ms, change_ms, attempted=(1000, 1000), rss=(100.0, 100.0)):
 
 def _metrics(change_ms):
     return bench_pairs.summarize(_pairs(PARENT_MS, change_ms), DECLARED)
+
+
+def _ops(parent, change):
+    """A summary's ops_per_s medians: the change's ops gain is change / parent - 1."""
+    return {"ops_per_s": {"parent": {"median": parent}, "change": {"median": change}}}
 
 
 def test_nine_wins_in_ten_and_a_median_beyond_the_iqr_meet_the_gain_rule():
@@ -102,14 +108,16 @@ def test_gains_line_prints_attempted_and_the_rss_fit_beside_the_gains():
         pairs += _pairs([1.0], [1.0], (a, a + 4000), (100.0 + a / 2048, 100.0 + (a + 4000) / 2048))
     attempted = {"parent": 22250, "change": 26250}
     fit = bench_pairs.rss_fit(pairs, attempted, 0.1)
-    summary = {"gains": ["op_ms_tail", "ops_per_s"], "attempted": attempted, "peak_rss_fit": fit}
+    summary = {"gains": ["op_ms_tail", "ops_per_s"], "attempted": attempted, "peak_rss_fit": fit,
+               "metrics": _ops(22250, 26250)}
     share = (26250 / 22250 - 1.0) / fit["gain_at_rss_bound"]
     assert 0.0 < share < 1.0
     assert bench_pairs.gains_line("urn_warm", summary) == (
         "urn_warm gains: op_ms_tail, ops_per_s; attempted: parent 22250, change 26250; "
         f"harness_mb: +1.95; gain_at_rss_bound: {fit['gain_at_rss_bound']:+.1%} ops; "
         f"attempted gain: +18.0%, {share:.0%} of gain_at_rss_bound")
-    summary = {"gains": [], "attempted": {"parent": 1000, "change": 1000}, "peak_rss_fit": None}
+    summary = {"gains": [], "attempted": {"parent": 1000, "change": 1000}, "peak_rss_fit": None,
+               "metrics": _ops(1000, 1000)}
     assert bench_pairs.gains_line("table", summary) == (
         "table gains: none; attempted: parent 1000, change 1000; "
         "harness_mb: no fit; gain_at_rss_bound: no fit; attempted gain: +0.0%")
@@ -128,13 +136,13 @@ def test_gains_line_flags_an_ops_gain_past_the_rss_headroom():
     share = (42250 / 22250 - 1.0) / fit["gain_at_rss_bound"]
     assert share > 1.0
     line = bench_pairs.gains_line("urn_warm", {"gains": [], "attempted": attempted,
-                                               "peak_rss_fit": fit})
+                                               "peak_rss_fit": fit, "metrics": _ops(22250, 42250)})
     assert line.endswith(f"attempted gain: +89.9%, {share:.0%} of gain_at_rss_bound; "
                          "rss headroom exceeded")
     # Within the headroom there is no flag.
     attempted = {"parent": 22250, "change": 22250 + 500}
     line = bench_pairs.gains_line("urn_warm", {"gains": [], "attempted": attempted,
-                                               "peak_rss_fit": fit})
+                                               "peak_rss_fit": fit, "metrics": _ops(22250, 22750)})
     assert "exceeded" not in line and line.endswith("of gain_at_rss_bound")
 
 
@@ -147,7 +155,8 @@ def _headroom_summary(change_ops, gate=()):
         pairs += _pairs([1.0], [1.0], (a, b), (10.0 + a / 2048, 10.0 + b / 2048))
     attempted = {"parent": 22250, "change": change_ops}
     return {"gate": list(gate), "gains": [], "attempted": attempted,
-            "peak_rss_fit": bench_pairs.rss_fit(pairs, attempted, 0.1)}
+            "peak_rss_fit": bench_pairs.rss_fit(pairs, attempted, 0.1),
+            "metrics": _ops(22250, change_ops)}
 
 
 def test_a_workload_fails_on_a_gated_metric_or_past_the_rss_headroom():
@@ -157,9 +166,49 @@ def test_a_workload_fails_on_a_gated_metric_or_past_the_rss_headroom():
     assert bench_pairs.workload_fails(past)
     assert bench_pairs.workload_fails(_headroom_summary(22250, gate=[{"metric": "op_ms_tail"}]))
     # Without a fit only the gate counts.
-    no_fit = {"gate": [], "attempted": {"parent": 1000, "change": 5000}, "peak_rss_fit": None}
+    no_fit = {"gate": [], "attempted": {"parent": 1000, "change": 5000}, "peak_rss_fit": None,
+              "metrics": _ops(1000, 5000)}
     assert bench_pairs.rss_headroom(no_fit) == (4.0, None, None)
     assert not bench_pairs.workload_fails(no_fit)
+
+
+# Paired `table` runs of a change that touched no table code: per pair, attempted ops and
+# speed-scaled ops_per_s of the parent and of the change, and their peak_rss_mb.
+LOADED_TABLE_PAIRS = [
+    (52742, 52577, 1259.5, 1250.2, 95.23, 94.71), (52994, 57632, 1246.0, 1256.3, 94.71, 97.84),
+    (54027, 62582, 1244.3, 1264.8, 95.63, 101.75), (58223, 66274, 1253.1, 1297.4, 98.68, 103.95),
+    (64387, 54712, 1271.1, 1260.0, 102.94, 95.91), (57503, 62757, 1260.5, 1258.0, 98.03, 101.91),
+    (57112, 57257, 1243.8, 1251.9, 97.93, 97.62), (59922, 68377, 1257.6, 1277.0, 99.67, 105.34),
+    (68572, 67175, 1272.4, 1265.1, 105.65, 104.39), (74992, 73932, 1286.6, 1289.4, 110.05, 109.25),
+]
+
+
+def _loaded_summary(rows):
+    def run(a, ops, mb):
+        return {"attempted": a, "metrics": {"op_ms_p50": 1e3 / ops, "ops_per_s": ops,
+                                            "peak_rss_mb": mb}}
+    pairs = [{"parent": run(a, o, m), "change": run(b, p, n)} for a, b, o, p, m, n in rows]
+    attempted = {side: statistics.median(p[side]["attempted"] for p in pairs)
+                 for side in ("parent", "change")}
+    return {"gate": [], "gains": [], "attempted": attempted,
+            "peak_rss_fit": bench_pairs.rss_fit(pairs, attempted, 0.1),
+            "metrics": bench_pairs.summarize(pairs, DECLARED)}
+
+
+def test_the_ops_gain_follows_the_speed_scaled_ops_not_the_machines_load():
+    # The load gave the change 8.3 % more attempted ops, a third of the RSS headroom, while
+    # its speed-scaled throughput moved 0.3 %: the headroom check reads the latter.
+    summary = _loaded_summary(LOADED_TABLE_PAIRS)
+    attempted = summary["attempted"]
+    assert attempted["change"] / attempted["parent"] - 1.0 == pytest.approx(0.083, abs=1e-3)
+    ops_gain, bound_gain, share = bench_pairs.rss_headroom(summary)
+    assert ops_gain == pytest.approx(0.0031, abs=1e-4)
+    assert bound_gain == pytest.approx(0.2485, abs=1e-3) and share < 0.02
+    assert not bench_pairs.workload_fails(summary)
+    # One urn_warm pair: 2.9 % fewer attempted ops, at a 10 % higher scaled throughput.
+    ops_gain = bench_pairs.rss_headroom(_loaded_summary([
+        (288892, 280389, 5465.7, 6018.8, 257.45, 253.21)] * 2))[0]  # quartiles need two
+    assert ops_gain == pytest.approx(0.101, abs=1e-3)
 
 
 def _run_main(monkeypatch, tmp_path, change_ms):

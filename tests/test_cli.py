@@ -103,6 +103,7 @@ def test_validate_times_each_suite_on_stderr(capsys):
         captured = capsys.readouterr()
         assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n"
                             r"mesh feature cache: \d+ hits, \d+ misses, \d+ matrices\n"
+                            r"EPPF class cache: \d+ hits, \d+ misses, \d+ classes\n"
                             r"urn class cache: \d+ hits, \d+ misses, \d+ classes\n"
                             r"V sampler cache: \d+ hits, \d+ misses, \d+ samplers\n"
                             r"lattice cache: \d+ hits, \d+ misses, \d+ lattices\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from nbpk import numerics
+from nbpk import numerics, posterior
 from nbpk.levy_models import LevyModel, ModelParamsR
 from nbpk.numerics import (
     LogDensityGridSampler,
@@ -49,17 +49,21 @@ def test_embedded_gauss_rule_is_legendre_7():
 
 
 def test_smooth_eppf_converges_on_the_initial_panels(monkeypatch):
-    # gengamma(0.5) r=2 at (2, 1) needs no split: one round of 16 panels x 15 nodes.
+    # gengamma(0.5) r=2 at (2, 1) needs no split: one round of 16 panels x 15 nodes, on
+    # its class's representative (2, 1), and then no engine pass.
     seen = []
-    quad = numerics.log_integrate_halfline_logv
 
-    def counting(log_f_lv, *args):
-        def log_f(lv):
-            seen.append(np.size(lv))
-            return log_f_lv(lv)
-        return quad(log_f, *args)
+    def counting(quad):
+        def counted(log_f_lv, *args):
+            def log_f(lv):
+                seen.append(np.size(lv))
+                return log_f_lv(lv)
+            return quad(log_f, *args)
+        return counted
 
-    monkeypatch.setattr("nbpk.posterior.log_integrate_halfline_logv", counting)
+    for name in ("log_integrate_halfline_logv", "_log_integrate_mesh"):
+        monkeypatch.setattr(posterior, name, counting(getattr(posterior, name)))
+    posterior._class_shift.cache_clear()
     log_eppf(ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0), Configuration((2, 1)))
     assert seen == [16 * 15]
 

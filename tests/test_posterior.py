@@ -18,6 +18,7 @@ from nbpk.numerics import (_MESH_LV, LogDensityGridSampler, QuadratureError,
                            log_integrate_halfline_logv)
 from nbpk.partitions import Configuration, enumerate_afs
 from nbpk.posterior import (
+    _enlarged,
     _log_g_r_row,
     _log_g_r_rows,
     _mesh_features,
@@ -496,3 +497,46 @@ def test_a_moment_and_a_v_sampler_build_their_row_once(params, monkeypatch):
     sampler._v_sampler.cache_clear()
     sample_v(params, Configuration((3, 1)), np.random.default_rng(2))
     assert len(builds) == 2
+
+
+CLASS_ROUTE_MODELS = [
+    ModelParamsR(LevyModel.gamma(1.0), 2.0),
+    ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0),
+    ModelParamsR(LevyModel.gamma(0.3), 0.5),
+]
+
+
+@pytest.mark.parametrize("params", CLASS_ROUTE_MODELS,
+                         ids=lambda p: f"{p.model.describe()}-r{p.r}")
+def test_class_route_matches_the_engines_own_pass(params):
+    # A Gibbs-type class (n, k) that converges on the mesh serves each member from one
+    # cached pass and the member's constant; a class that refines takes the engine, so
+    # its members keep the engine's bits.  gamma(0.3) r=0.5 has classes of both kinds.
+    posterior._class_shift.cache_clear()
+    refining = set()
+    for n in range(1, 9):
+        for m in enumerate_afs(n):
+            counts = m.to_configuration().counts
+            got = float(posterior._log_eppfs(params, [counts])[0])
+            want = float(log_integrate_halfline_logv(_log_g_r_rows(params, [counts]))[0])
+            if posterior._class_shift(params, (n, len(counts))) is None:
+                refining.add((n, len(counts)))
+                assert got == want, counts
+            else:
+                assert abs(got - want) <= 1e-13, counts
+    assert bool(refining) == (params.model.theta == 0.3)
+
+
+@pytest.mark.parametrize("params", [FOUR_MODELS[0], FOUR_MODELS[3]],
+                         ids=lambda p: p.model.describe())
+def test_stable_and_truncstable_keep_the_shared_panel_pass(params):
+    # No stable(0.5) class converges on the mesh, and the truncated stable is not of Gibbs
+    # type: every EPPF stack, a row or a prediction stack, is the engine's pass, bit for bit.
+    posterior._class_shift.cache_clear()
+    for n in range(1, 7):
+        for m in enumerate_afs(n):
+            counts = m.to_configuration().counts
+            for stack in ([counts], [counts, *_enlarged(counts)]):
+                got = posterior._log_eppfs(params, stack)
+                assert got.tobytes() == log_integrate_halfline_logv(
+                    _log_g_r_rows(params, stack)).tobytes(), stack

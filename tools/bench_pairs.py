@@ -22,6 +22,9 @@ memory change that comes from doing more ops rather than from nbpk.  At A ops
 a run reads I + s A, so a throughput gain g alone raises ``peak_rss_mb`` by
 g s A / (I + s A), which crosses the 0.1 bound of ``BENCHMARK.json`` at
 g = 0.1 (1 + I / (s A)); the fit reports that g as ``gain_at_rss_bound``.
+The change's gain g is read from the medians of ``ops_per_s``, which
+``perfbench/run.py`` scales to a reference speed, not from raw ``attempted``,
+which also follows the machine's load.
 
 Per workload, ``gate`` lists every end-to-end metric whose median moved the
 wrong way by more than its ``BENCHMARK.json`` bound (an empty list when none
@@ -29,13 +32,13 @@ did), and ``gains`` every metric that meets the gain rule: the change wins at
 least 9 pairs in 10 (a tie counts for neither side) and its median is better
 than the parent's by more than the parent's interquartile range.  The script
 prints both to stderr as each workload finishes, the gains beside each side's
-median ``attempted``, ``harness_mb``, ``gain_at_rss_bound`` and the change's
-attempted-ops gain as a share of it (with ``rss headroom exceeded`` past
-100 %), so a regression, or a gain that the ``peak_rss_mb`` bound cannot hold,
-shows before the full comparison is read.
+median ``attempted``, ``harness_mb``, ``gain_at_rss_bound`` and, as
+``attempted gain``, the change's ops gain g and its share of that bound (with
+``rss headroom exceeded`` past 100 %), so a regression, or a gain that the
+``peak_rss_mb`` bound cannot hold, shows before the full comparison is read.
 
 The exit status is 1, after the report is written, when any workload's
-``gate`` is non-empty or its attempted-ops gain exceeds ``gain_at_rss_bound``;
+``gate`` is non-empty or its ops gain exceeds ``gain_at_rss_bound``;
 otherwise 0.
 """
 
@@ -150,25 +153,26 @@ def rss_fit(pairs, attempted, bound):
 
 
 def rss_headroom(summary):
-    """The change's gain in median attempted ops, the RSS fit's ``gain_at_rss_bound``
-    and the first as a share of the second; the last two None without a fit."""
-    fit, attempted = summary["peak_rss_fit"], summary["attempted"]
+    """The change's ops gain (the move of the ``ops_per_s`` medians, speed-scaled), the RSS
+    fit's ``gain_at_rss_bound`` and the first as a share of the second; the last two None
+    without a fit."""
+    fit, ops = summary["peak_rss_fit"], summary["metrics"]["ops_per_s"]
     bound_gain = fit and fit["gain_at_rss_bound"]
-    ops_gain = attempted["change"] / attempted["parent"] - 1.0
+    ops_gain = ops["change"]["median"] / ops["parent"]["median"] - 1.0
     return ops_gain, bound_gain, ops_gain / bound_gain if bound_gain else None
 
 
 def workload_fails(summary):
     """Whether a finished workload fails the comparison: a metric past its bound, or an
-    attempted-ops gain past ``gain_at_rss_bound``, which ``peak_rss_mb`` cannot hold."""
+    ops gain past ``gain_at_rss_bound``, which ``peak_rss_mb`` cannot hold."""
     share = rss_headroom(summary)[2]
     return bool(summary["gate"]) or (share is not None and share > 1.0)
 
 
 def gains_line(workload, summary):
     """The stderr line of a finished workload: its gains, each side's median ``attempted``,
-    the ``harness_mb`` and ``gain_at_rss_bound`` of its RSS fit, and the change's gain in
-    attempted ops as a share of that bound's gain, flagged past 100 %."""
+    the ``harness_mb`` and ``gain_at_rss_bound`` of its RSS fit, and the change's ops gain
+    (``rss_headroom``) as a share of that bound's gain, flagged past 100 %."""
     fit, attempted = summary["peak_rss_fit"], summary["attempted"]
     ops_gain, bound_gain, share = rss_headroom(summary)
     return (f"{workload} gains: " + (", ".join(summary["gains"]) or "none")
