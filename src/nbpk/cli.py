@@ -18,13 +18,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import checks
-from .coalescent import (_LATTICE_LIMIT, RateFunction, RateKind, _lattice, h_solver_exact,
-                         history_to_json_lines, simulate_backward)
+from .coalescent import (_LATTICE_LIMIT, RateFunction, RateKind, _lattice, _level_law,
+                         h_solver_exact, history_to_json_lines, simulate_backward)
 from .levy_models import LevyModel, ModelParamsR, _pi_coefficients, _shape_constants
 from .numerics import (_INITIAL_PANELS, _MAX_SUBDIVISIONS, _MESH_T, _REL_TOL, _RULE_NAME,
                        QuadratureError, _panel_map)
 from .partitions import _ENUM_LIMIT, Configuration
-from .posterior import _class_shift, _mesh_features, log_eppf, predictive_weights
+from .posterior import _log_v, _mesh_features, log_eppf, predictive_weights
 from .sampler import _urn, _v_sampler, run_chain
 
 DEFAULT_SEED = 1729
@@ -196,9 +196,9 @@ def _cmd_validate(args) -> int:
             rows.append([name, label, f"{value:.3g}", "PASS" if ok else "FAIL"])
         print(f"suite {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     for name, cache, unit in (("mesh feature", _mesh_features, "matrices"),
-                              ("EPPF class", _class_shift, "classes"),
+                              ("log V_{n,k}", _log_v, "classes"),
                               ("urn class", _urn, "classes"), ("V sampler", _v_sampler, "samplers"),
-                              ("lattice", _lattice, "lattices"),
+                              ("lattice", _lattice, "lattices"), ("level law", _level_law, "laws"),
                               ("pi coefficient", _pi_coefficients, "size sets"),
                               ("shape constant", _shape_constants, "shape sets"),
                               ("panel map", _panel_map, "panels")):

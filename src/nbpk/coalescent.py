@@ -211,25 +211,28 @@ def _expm_times(t_grid: np.ndarray, gen: np.ndarray, i: int) -> np.ndarray:
     return np.array(rows).reshape(-1, len(gen))
 
 
-def _level_law(n: int, kind: RateKind, t_grid: np.ndarray) -> np.ndarray:
-    """P(L(t) = m | L(0) = n) for m = 1..n, a row per time, under a built-in clock.
+@lru_cache(maxsize=32)
+def _level_law(n: int, kind: RateKind, times: Tuple[float, ...]) -> np.ndarray:
+    """P(L(t) = m | L(0) = n) for m = 1..n, a row per time, under a built-in clock; read-only,
+    computed once per (n, clock, times).
 
     The clock depends on n alone, so the number of observations L is a pure
     death chain n -> n - 1 at rate phi(n), stopped at one lineage.
     """
-    t = t_grid[:, None]
+    t, m = np.array(times)[:, None], np.arange(1.0, n + 1.0)
     if kind is RateKind.TOTAL_N:
         # Each of n lineages dies at rate 1: binomial for m >= 2, and m = 1 takes the
         # binomial's m = 0 and m = 1 terms.  Positive log terms only (1 minus a sum
         # loses small probabilities), with 0 log 0 = 0, so t = 0 gives level n.
-        m = np.arange(1, n + 1)
         q = -np.expm1(-t)  # 1 - e^-t
         log_law = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1) - m * t + xlogy(n - m, q)
         log_law[:, :1] = xlogy(n - 1, q) + np.log(q + n * np.exp(-t))
-        return np.exp(log_law)
-    m = np.arange(1.0, n + 1.0)
-    rate = m * (m - 1.0) / 2.0
-    return _expm_times(t_grid, np.diag(-rate) + np.diag(rate[1:], -1), -1)  # level n's row
+        law = np.exp(log_law)
+    else:
+        rate = m * (m - 1.0) / 2.0
+        law = _expm_times(t[:, 0], np.diag(-rate) + np.diag(rate[1:], -1), -1)  # level n's row
+    law.flags.writeable = False  # every caller shares it
+    return law
 
 
 def h_solver_exact(config: Configuration, phi: RateFunction,
@@ -253,7 +256,7 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
         raise ValueError("times must be a one-dimensional sequence, finite and nonnegative")
     built_in = phi.kind is not RateKind.CUSTOM
     if built_in and h0 is None:
-        return _level_law(config.n, phi.kind, t_grid)[:, 0]
+        return _level_law(config.n, phi.kind, tuple(t_grid.tolist()))[:, 0].copy()
     if config.n > (limit := _ENUM_LIMIT if built_in else _LATTICE_LIMIT):
         raise ValueError(
             f"configuration lattice for n = {config.n} is too large to enumerate "
@@ -264,7 +267,7 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     configs, start, rows, cols, weights, level, visit = _lattice(config.sorted_counts())
     y0 = np.array([h0(c) for c in configs], float)
     if built_in:  # E[h0(X_m)] per level m, from the visit probabilities
-        return _level_law(config.n, phi.kind, t_grid) @ np.bincount(
+        return _level_law(config.n, phi.kind, tuple(t_grid.tolist())) @ np.bincount(
             level, visit * y0, minlength=config.n + 1)[1:]
     rate = np.array([0.0] + [phi(c) for c in configs[1:]])  # no event leaves (1,)
     gen = np.zeros((rate.size, rate.size))

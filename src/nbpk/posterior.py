@@ -5,9 +5,9 @@ a stack of configurations c from log v alone, as one coefficient matrix times
 the kernel features (log psi, log v, f), and the shift-invariant quadrature in
 :mod:`nbpk.numerics` integrates the stack on one panel set, unless every class
 (n, k) of a Gibbs-type stack converges on its first-round mesh: such a class is
-integrated once and serves each member's EPPF (``_log_eppfs``).  The prediction
-weights are EPPFs of the configurations enlarged by one observation, and the
-backward terms (n_i/n) p(n) need only p(n).
+integrated once for its log V_{n,k}, which serves each member's EPPF in Python floats
+(``_log_eppfs``).  The prediction weights are EPPFs of the configurations enlarged by
+one observation, and the backward terms (n_i/n) p(n) need only p(n).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _log_g_r_rows(params: ModelParamsR, configs):
     log Gamma(n_c), where log pi_m = c_m + b_m f(lv) (plus a log gamma(m - alpha, v) column
     per size m for the truncated stable).  So all rows are one product of a coefficient
     matrix, built here once, with the features [log psi, lv, f, ...], one matrix per
-    Gibbs-type model; the returned function's ``const`` holds each const_c.  Working from
+    Gibbs-type model.  Working from
     lv = log v keeps the Gamma-family tail (where v overflows a float but log v does not)
     evaluable.  A configuration may be a tuple.
     """
@@ -98,7 +98,6 @@ def _log_g_r_rows(params: ModelParamsR, configs):
             return const + coef @ _mesh_features(model, sizes)
         return const + coef @ _kernel_features(model, sizes, lv)
 
-    log_g.const = rows[:, 0]
     return log_g
 
 
@@ -135,26 +134,31 @@ def _representative(params: ModelParamsR, key):
 
 
 @lru_cache(maxsize=4096)
-def _class_shift(params: ModelParamsR, key):
-    """log p(rep) - const_rep, rep the representative of the Gibbs-type class key = (n, k), so
-    log p(c) = const_c + this for c in the class; None if rep's mesh pass would refine."""
-    rows = _log_g_r_rows(params, [_representative(params, key)])
-    log_p = _log_integrate_mesh(rows)
-    return None if log_p is None else float(log_p[0] - rows.const[0])
+def _log_v(params: ModelParamsR, key):
+    """log p(rep) - sum_i log Gamma(rep_i - alpha), rep the Gibbs-type class key = (n, k)'s
+    representative and alpha = 0 for gamma: log V_{n,k} up to a factor Gamma(1 - alpha)^k, so
+    log p(c) = this + sum_i log Gamma(c_i - alpha) in the class; None if rep's mesh pass refines."""
+    rep = _representative(params, key)
+    log_p = _log_integrate_mesh(_log_g_r_rows(params, [rep]))
+    a = params.model.alpha or 0.0
+    return None if log_p is None else float(log_p[0]) - sum(math.lgamma(m - a) for m in rep)
 
 
-def _log_eppfs(params: ModelParamsR, configs) -> np.ndarray:
-    """log p(c) for every tuple of block sizes c, the one entry of every EPPF here: const_c +
-    ``_class_shift`` when every Gibbs-type class (n, k) of the stack converges on the mesh,
-    else one shared-panel pass (a refined pass's panels depend on the whole stack)."""
-    rows = _log_g_r_rows(params, configs)
-    shifts = [_class_shift(params, (sum(c), len(c))) for c in configs] if _gibbs(params) else [None]
-    return log_integrate_halfline_logv(rows) if None in shifts else rows.const + shifts
+def _log_eppfs(params: ModelParamsR, configs) -> list:
+    """log p(c) in Python floats for every tuple of block sizes c, the one entry of every EPPF
+    here: ``_log_v`` + sum_i log Gamma(c_i - alpha) when every Gibbs-type class (n, k) of the
+    stack converges on the mesh, else one shared-panel pass (its panels depend on the stack)."""
+    if _gibbs(params):
+        a = params.model.alpha or 0.0
+        logs = [_log_v(params, (sum(c), len(c))) for c in configs]
+        if None not in logs:
+            return [v + sum([math.lgamma(m - a) for m in c]) for v, c in zip(logs, configs)]
+    return log_integrate_halfline_logv(_log_g_r_rows(params, configs)).tolist()
 
 
 def log_eppf(params: ModelParamsR, config: Configuration) -> float:
     """log p(n): the auxiliary density integrated over the half line."""
-    return float(_log_eppfs(params, [config.counts])[0])
+    return _log_eppfs(params, [config.counts])[0]
 
 
 def log_v_moment(params: ModelParamsR, config: Configuration, power: float) -> float:
@@ -186,7 +190,7 @@ def predictive_weights(params: ModelParamsR, config: Configuration) -> Predictiv
     stack; the prediction-sum identity (``check_prediction_sum``) checks them.
     """
     counts = config.counts
-    logs = _log_eppfs(params, [counts, *_enlarged(counts)]).tolist()
+    logs = _log_eppfs(params, [counts, *_enlarged(counts)])
     log_omega = {s: math.log(config.n) + lw for s, lw in zip(sorted(set(counts)), logs[2:])}
     return PredictiveWeights(logs[1], tuple(map(log_omega.get, counts)), logs[0])
 

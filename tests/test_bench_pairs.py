@@ -222,6 +222,8 @@ def _run_main(monkeypatch, tmp_path, change_ms):
 
     monkeypatch.setattr(bench_pairs, "unpack", lambda revision, into: "0" * 40)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "import_probe",
+                        lambda sides: {side: {"nbpk": 500.0} for side in sides})
     out = tmp_path / "bench.json"
     code = bench_pairs.main(["--seeds", *map(str, range(10)), "--out", str(out)])
     return code, json.loads(out.read_text())
@@ -230,8 +232,42 @@ def _run_main(monkeypatch, tmp_path, change_ms):
 def test_main_exits_1_after_writing_the_report_when_a_workload_fails(monkeypatch, tmp_path):
     code, report = _run_main(monkeypatch, tmp_path, 1.0)
     assert code == 0 and all(w["gate"] == [] for w in report["workloads"].values())
+    assert report["import_self_us"] == {"parent": {"nbpk": 500.0}, "change": {"nbpk": 500.0}}
     # 1.5 times the time is past every time metric's 0.25 bound, in every workload.
     code, report = _run_main(monkeypatch, tmp_path, 1.5)
     assert code == 1
     for summary in report["workloads"].values():
         assert {"op_ms_p50", "op_ms_tail", "ops_per_s"} <= {g["metric"] for g in summary["gate"]}
+
+
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       312 |        312 |   _io
+import time:      1604 |      92118 |       numpy
+import time:     12983 |     555726 |   nbpk.levy_models
+import time:      8847 |       8847 |   nbpk.numerics
+import time:        41 |         41 |   nbpkx
+import time:      2450 |       2450 |   nbpk.posterior
+import time:      4518 |     588763 | nbpk
+"""
+
+
+def test_import_self_times_reads_every_nbpk_module_and_nothing_else():
+    assert bench_pairs.import_self_times(IMPORTTIME) == {
+        "nbpk.levy_models": 12983, "nbpk.numerics": 8847, "nbpk.posterior": 2450, "nbpk": 4518}
+    assert bench_pairs.import_self_times("") == {}
+
+
+def test_import_probe_takes_each_sides_median_with_the_first_side_alternating(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append(str(cwd))
+        assert env["PYTHONPATH"].split(bench_pairs.os.pathsep)[0] == str(cwd / "src")
+        us = 100 * len(calls) if cwd == Path("p") else 7
+        return type("Proc", (), {"stderr": f"import time: {us} | {us} | nbpk.posterior"})
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs.import_probe({"parent": Path("p"), "change": Path("c")}, runs=3)
+    assert calls == ["p", "c", "c", "p", "p", "c"]
+    assert got == {"parent": {"nbpk.posterior": 400}, "change": {"nbpk.posterior": 7}}

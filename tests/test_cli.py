@@ -103,10 +103,11 @@ def test_validate_times_each_suite_on_stderr(capsys):
         captured = capsys.readouterr()
         assert re.fullmatch(r"suite pd: \d+\.\d{3} s\nsuite predsum: \d+\.\d{3} s\n"
                             r"mesh feature cache: \d+ hits, \d+ misses, \d+ matrices\n"
-                            r"EPPF class cache: \d+ hits, \d+ misses, \d+ classes\n"
+                            r"log V_\{n,k\} cache: \d+ hits, \d+ misses, \d+ classes\n"
                             r"urn class cache: \d+ hits, \d+ misses, \d+ classes\n"
                             r"V sampler cache: \d+ hits, \d+ misses, \d+ samplers\n"
                             r"lattice cache: \d+ hits, \d+ misses, \d+ lattices\n"
+                            r"level law cache: \d+ hits, \d+ misses, \d+ laws\n"
                             r"pi coefficient cache: \d+ hits, \d+ misses, \d+ size sets\n"
                             r"shape constant cache: \d+ hits, \d+ misses, \d+ shape sets\n"
                             r"panel map cache: \d+ hits, \d+ misses, \d+ panels\n",

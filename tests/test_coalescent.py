@@ -77,7 +77,7 @@ def test_backward_terms_one_quadrature_pass(monkeypatch):
             integrals.clear()
             predictive.clear()
             # From an empty class cache: a class that converges on the mesh takes no pass.
-            posterior._class_shift.cache_clear()
+            posterior._log_v.cache_clear()
             terms, total = backward_event_probabilities(params, cfg)
             assert len(integrals) <= 1
             assert predictive == []
@@ -443,3 +443,31 @@ def test_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_the_cached_level_law_is_the_uncached_one_and_read_only():
+    from nbpk.coalescent import _level_law
+
+    times = (0.0, 0.5, 1.0, 2.0)
+    for kind in (RateKind.TOTAL_N, RateKind.TOTAL_N_CHOOSE_2):
+        for n in (2, 6, 40):
+            _level_law.cache_clear()
+            h_solver_exact(Configuration((n,)), RateFunction(kind), t_grid=times)  # fills it
+            cached, fresh = _level_law(n, kind, times), _level_law.__wrapped__(n, kind, times)
+            assert _level_law.cache_info().hits == 1
+            assert cached.shape == (len(times), n) and cached.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 0.5
+
+
+def test_a_returned_h_array_is_the_callers_own():
+    # Writing into a result, the default h0's level column included, must not reach
+    # the level law or lattice caches that the next call reads.
+    custom = RateFunction(RateKind.CUSTOM, custom=lambda c: float(c.n))
+    for phi in (RateFunction(RateKind.TOTAL_N), RateFunction(RateKind.TOTAL_N_CHOOSE_2), custom):
+        for h0 in (None, lambda c: float(c.k)):
+            first = h_solver_exact(Configuration((3, 2)), phi, h0=h0, t_grid=(0.0, 0.7))
+            want = first.tobytes()
+            first[:] = -1.0
+            assert h_solver_exact(Configuration((3, 2)), phi, h0=h0,
+                                  t_grid=(0.0, 0.7)).tobytes() == want

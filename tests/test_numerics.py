@@ -63,7 +63,7 @@ def test_smooth_eppf_converges_on_the_initial_panels(monkeypatch):
 
     for name in ("log_integrate_halfline_logv", "_log_integrate_mesh"):
         monkeypatch.setattr(posterior, name, counting(getattr(posterior, name)))
-    posterior._class_shift.cache_clear()
+    posterior._log_v.cache_clear()
     log_eppf(ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0), Configuration((2, 1)))
     assert seen == [16 * 15]
 

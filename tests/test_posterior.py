@@ -512,14 +512,14 @@ def test_class_route_matches_the_engines_own_pass(params):
     # A Gibbs-type class (n, k) that converges on the mesh serves each member from one
     # cached pass and the member's constant; a class that refines takes the engine, so
     # its members keep the engine's bits.  gamma(0.3) r=0.5 has classes of both kinds.
-    posterior._class_shift.cache_clear()
+    posterior._log_v.cache_clear()
     refining = set()
     for n in range(1, 9):
         for m in enumerate_afs(n):
             counts = m.to_configuration().counts
             got = float(posterior._log_eppfs(params, [counts])[0])
             want = float(log_integrate_halfline_logv(_log_g_r_rows(params, [counts]))[0])
-            if posterior._class_shift(params, (n, len(counts))) is None:
+            if posterior._log_v(params, (n, len(counts))) is None:
                 refining.add((n, len(counts)))
                 assert got == want, counts
             else:
@@ -532,11 +532,32 @@ def test_class_route_matches_the_engines_own_pass(params):
 def test_stable_and_truncstable_keep_the_shared_panel_pass(params):
     # No stable(0.5) class converges on the mesh, and the truncated stable is not of Gibbs
     # type: every EPPF stack, a row or a prediction stack, is the engine's pass, bit for bit.
-    posterior._class_shift.cache_clear()
+    posterior._log_v.cache_clear()
     for n in range(1, 7):
         for m in enumerate_afs(n):
             counts = m.to_configuration().counts
             for stack in ([counts], [counts, *_enlarged(counts)]):
-                got = posterior._log_eppfs(params, stack)
+                got = np.array(posterior._log_eppfs(params, stack))  # Python floats: exact
                 assert got.tobytes() == log_integrate_halfline_logv(
                     _log_g_r_rows(params, stack)).tobytes(), stack
+
+
+@pytest.mark.parametrize("params", FOUR_MODELS[1:3], ids=lambda p: p.model.describe())
+def test_a_warm_gibbs_table_row_builds_no_rows_and_makes_no_pass(monkeypatch, params):
+    # Once its classes are cached, a gamma or gengamma row (the EPPF, the prediction and
+    # the backward terms) is Python floats from log V_{n,k}: no g_r rows, no mesh round.
+    from nbpk.coalescent import backward_event_probabilities
+
+    configs = [m.to_configuration() for n in range(2, 7) for m in enumerate_afs(n)]
+
+    def rows():
+        return [(log_eppf(params, c), normalized_predictive(params, c).tobytes(),
+                 backward_event_probabilities(params, c)[0].tobytes()) for c in configs]
+
+    posterior._log_v.cache_clear()
+    cold = rows()
+    calls = []
+    for name in ("_log_g_r_rows", "_log_integrate_mesh", "log_integrate_halfline_logv"):
+        monkeypatch.setattr(posterior, name, lambda *a, name=name: calls.append(name))
+    assert rows() == cold
+    assert calls == []

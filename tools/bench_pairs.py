@@ -37,6 +37,13 @@ median ``attempted``, ``harness_mb``, ``gain_at_rss_bound`` and, as
 ``rss headroom exceeded`` past 100 %), so a regression, or a gain that the
 ``peak_rss_mb`` bound cannot hold, shows before the full comparison is read.
 
+Before the workloads, ``python3 -X importtime -c "import nbpk"`` runs
+``IMPORT_RUNS`` times on each side, alternating which side goes first, and the
+output file holds each side's median self time of every ``nbpk`` module
+(``import_self_us``, in microseconds).  ``setup_s`` is the median import time
+plus the median set-up, so a setup_s move that the package's import self
+times do not show comes from the machine, not from the package.
+
 The exit status is 1, after the report is written, when any workload's
 ``gate`` is non-empty or its ops gain exceeds ``gain_at_rss_bound``;
 otherwise 0.
@@ -58,6 +65,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
+IMPORT_RUNS = 5
 
 
 def unpack(revision: str, into: Path) -> str:
@@ -81,6 +89,32 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def import_self_times(text: str) -> dict:
+    """{module: self time in us} for every ``nbpk`` module in ``python -X importtime`` output."""
+    out = {}
+    for line in text.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[2].strip().split(".")[0] == "nbpk":
+            out[fields[2].strip()] = int(fields[0])
+    return out
+
+
+def import_probe(sides: dict, runs: int = IMPORT_RUNS) -> dict:
+    """Each side's median self time (us) of every ``nbpk`` module over `runs` imports per
+    side in fresh processes, the side that goes first alternating from run to run."""
+    times = {side: [] for side in sides}
+    for i in range(runs):
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(sides[side] / "src"), os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import nbpk"],
+                                  cwd=sides[side], env=env, capture_output=True, text=True,
+                                  check=True)
+            times[side].append(import_self_times(proc.stderr))
+    return {side: {name: statistics.median(run[name] for run in found) for name in found[0]}
+            for side, found in times.items()}
 
 
 def spread(values):
@@ -206,6 +240,10 @@ def main(argv=None):
         parent_dir = Path(tmp)
         report["parent"] = unpack(args.parent, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
+        report["import_self_us"] = imports = import_probe(sides)
+        print(f"nbpk import self time, median of {IMPORT_RUNS} runs: " + "; ".join(
+            f"{side} {sum(us.values()) / 1e3:.1f} ms" for side, us in imports.items()),
+            file=sys.stderr, flush=True)
         for workload in workloads:
             pairs = []
             for i, seed in enumerate(args.seeds):

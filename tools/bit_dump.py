@@ -6,10 +6,13 @@
 The script dumps the ``nbpk`` of the checkout it sits in (its ``src``), with
 every package cache cleared before each group.  The groups:
 
-* ``table``: the benchmark's ``table`` op outputs for every configuration with
-  2 <= n <= 6: ``log_eppf``, ``normalized_predictive`` and
-  ``backward_event_probabilities`` under the four benchmark models, and the
-  configuration's H-solve (phi = n, h0 = 1);
+* ``table.hsolve``: the benchmark's ``table`` H-solve (phi = n, h0 = 1) for every
+  configuration with 2 <= n <= 6;
+* ``table.stable``, ``table.gamma``, ``table.gengamma`` and ``table.truncstable``: the
+  ``table`` op outputs (``log_eppf``, ``normalized_predictive`` and
+  ``backward_event_probabilities``) of the same configurations under each benchmark
+  model, one group per model, so a change to one family's route shows which others
+  keep every bit;
 * ``vsampler``: ``_t``, ``_cdf`` and ``_slope`` of every V sampler that 100
   chains per model at n = 4, then 20 chains per Gibbs-type model at n = 50,
   build, in the order they are built;
@@ -66,6 +69,7 @@ def dump(sizes=FULL) -> dict:
     import nbpk
     from nbpk import Configuration, LevyModel, ModelParamsR, RateFunction, RateKind
 
+    names = ("stable", "gamma", "gengamma", "truncstable")
     models = [ModelParamsR(LevyModel.stable(0.5), 1.5), ModelParamsR(LevyModel.gamma(1.0), 2.0),
               ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0),
               ModelParamsR(LevyModel.truncated_stable(0.5), 1.5)]
@@ -78,17 +82,20 @@ def dump(sizes=FULL) -> dict:
             _feed(h, value)
         groups[name] = h.hexdigest()
 
-    def table():
-        phi = RateFunction(RateKind.TOTAL_N)
+    def table_configs():
         for n in range(2, sizes["table_n"] + 1):
             for m in nbpk.enumerate_afs(n):
-                config = m.to_configuration()
-                yield nbpk.h_solver_exact(config, phi, h0=lambda c: 1.0,
-                                          t_grid=(0.0, 0.5, 1.0, 2.0))
-                for params in models:
-                    yield (nbpk.log_eppf(params, config),
-                           nbpk.normalized_predictive(params, config),
-                           nbpk.backward_event_probabilities(params, config))
+                yield m.to_configuration()
+
+    def hsolve():
+        phi = RateFunction(RateKind.TOTAL_N)
+        for config in table_configs():
+            yield nbpk.h_solver_exact(config, phi, h0=lambda c: 1.0, t_grid=(0.0, 0.5, 1.0, 2.0))
+
+    def table(params):
+        for config in table_configs():
+            yield (nbpk.log_eppf(params, config), nbpk.normalized_predictive(params, config),
+                   nbpk.backward_event_probabilities(params, config))
 
     def vsampler():
         built = []
@@ -127,8 +134,11 @@ def dump(sizes=FULL) -> dict:
     def moment():
         yield nbpk.log_v_moment(models[0], Configuration((3, 2, 1)), -0.5)
 
-    for name, outputs in (("table", table), ("vsampler", vsampler), ("chains", chains),
-                          ("eppf", eppf), ("moment", moment)):
+    group("table.hsolve", hsolve)
+    for name, params in zip(names, models):
+        group(f"table.{name}", lambda params=params: table(params))
+    for name, outputs in (("vsampler", vsampler), ("chains", chains), ("eppf", eppf),
+                          ("moment", moment)):
         group(name, outputs)
     return groups
 
