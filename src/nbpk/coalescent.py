@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .levy_models import ModelParamsR
 from .partitions import _ENUM_LIMIT, Configuration
@@ -211,6 +210,13 @@ def _expm_times(t_grid: np.ndarray, gen: np.ndarray, i: int) -> np.ndarray:
     return np.array(rows).reshape(-1, len(gen))
 
 
+def _log_absorbed(n: int, t: np.ndarray) -> np.ndarray:
+    """log P(L(t) = 1 | L(0) = n) under phi = n: the binomial's m = 0 and m = 1 terms."""
+    q = -np.expm1(-t)  # (1 - e^-t)^(n-1) (1 - e^-t + n e^-t), with 0 log 0 = 0 at t = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n == 1, 0.0, (n - 1) * np.log(q)) + np.log(q + n * np.exp(-t))
+
+
 @lru_cache(maxsize=32)
 def _level_law(n: int, kind: RateKind, times: Tuple[float, ...]) -> np.ndarray:
     """P(L(t) = m | L(0) = n) for m = 1..n, a row per time, under a built-in clock; read-only,
@@ -221,12 +227,13 @@ def _level_law(n: int, kind: RateKind, times: Tuple[float, ...]) -> np.ndarray:
     """
     t, m = np.array(times)[:, None], np.arange(1.0, n + 1.0)
     if kind is RateKind.TOTAL_N:
-        # Each of n lineages dies at rate 1: binomial for m >= 2, and m = 1 takes the
-        # binomial's m = 0 and m = 1 terms.  Positive log terms only (1 minus a sum
-        # loses small probabilities), with 0 log 0 = 0, so t = 0 gives level n.
-        q = -np.expm1(-t)  # 1 - e^-t
-        log_law = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1) - m * t + xlogy(n - m, q)
-        log_law[:, :1] = xlogy(n - 1, q) + np.log(q + n * np.exp(-t))
+        # Each of n lineages dies at rate 1: binomial for m >= 2, in positive log terms only
+        # (1 minus a sum loses small probabilities), with 0 log 0 = 0, so t = 0 gives level n.
+        log_fact, q = np.array([math.lgamma(j + 1.0) for j in range(n + 1)]), -np.expm1(-t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_law = (log_fact[n] - log_fact[1:] - log_fact[n - 1::-1] - m * t
+                       + np.where(m == n, 0.0, (n - m) * np.log(q)))
+        log_law[:, :1] = _log_absorbed(n, t)
         law = np.exp(log_law)
     else:
         rate = m * (m - 1.0) / 2.0
@@ -255,8 +262,9 @@ def h_solver_exact(config: Configuration, phi: RateFunction,
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0.0)):
         raise ValueError("times must be a one-dimensional sequence, finite and nonnegative")
     built_in = phi.kind is not RateKind.CUSTOM
-    if built_in and h0 is None:
-        return _level_law(config.n, phi.kind, tuple(t_grid.tolist()))[:, 0].copy()
+    if built_in and h0 is None:  # P(L(t) = 1); under phi = n in closed form, no n-wide law
+        return (np.exp(_log_absorbed(config.n, t_grid)) if phi.kind is RateKind.TOTAL_N
+                else _level_law(config.n, phi.kind, tuple(t_grid.tolist()))[:, 0].copy())
     if config.n > (limit := _ENUM_LIMIT if built_in else _LATTICE_LIMIT):
         raise ValueError(
             f"configuration lattice for n = {config.n} is too large to enumerate "

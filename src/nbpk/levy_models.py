@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincc, hyp1f1
 
 __all__ = [
     "ModelKind",
@@ -112,6 +111,13 @@ class ModelParamsR:
 # Incomplete gamma kernel
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _special():
+    """scipy.special on first use: the truncated stable's alone, so the rest needs numpy only."""
+    import scipy.special
+    return scipy.special
+
+
 @lru_cache(maxsize=1024)
 def _shape_constants(shapes) -> tuple:
     """Shared read-only arrays s, log s and log Gamma(s) for a tuple of shapes."""
@@ -137,8 +143,8 @@ def _log_lower_gammas(constants, lv):
     (si, sj), (ti, tj) = series.nonzero(), (~series).nonzero()  # in the masks' order
     out = np.empty(series.shape)
     ss, xs = s[si], x[sj]
-    out[series] = ss * lv[sj] - xs - log_s[si] + np.log(hyp1f1(1.0, ss + 1.0, xs))
-    out[~series] = lgamma_s[ti] + np.log1p(-gammaincc(s[ti], x[tj]))
+    out[series] = ss * lv[sj] - xs - log_s[si] + np.log(_special().hyp1f1(1.0, ss + 1.0, xs))
+    out[~series] = lgamma_s[ti] + np.log1p(-_special().gammaincc(s[ti], x[tj]))
     return out
 
 
@@ -180,8 +186,9 @@ def _kernel_features(model: LevyModel, sizes, lv) -> np.ndarray:
             return np.concatenate([psi[None], lv[None], f[None], g[1:]])
         lv1 = lv.item()  # one point, as an urn step reads it: numpy scalars, the column's bits
         x = np.exp(lv1)
-    g = [s * lv1 - x - log_s + np.log(hyp1f1(1.0, s + 1.0, x)) if x < s + 1.0
-         else lgamma_s + np.log1p(-gammaincc(s, x)) for s, log_s, lgamma_s in zip(*constants)]
+    g = [s * lv1 - x - log_s + np.log(_special().hyp1f1(1.0, s + 1.0, x)) if x < s + 1.0
+         else lgamma_s + np.log1p(-_special().gammaincc(s, x))
+         for s, log_s, lgamma_s in zip(*constants)]
     return np.array([np.logaddexp(-x, a * lv1 + g[0]), lv1, lv1, *g[1:]]).reshape((-1,) + lv.shape)
 
 

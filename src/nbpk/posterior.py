@@ -18,9 +18,8 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
-from .levy_models import ModelKind, ModelParamsR, _kernel_features, _pi_coefficients
+from .levy_models import ModelKind, ModelParamsR, _kernel_features, _pi_coefficients, _special
 from .numerics import _MESH_LV, _log_integrate_mesh, log_integrate_halfline_logv
 from .partitions import Configuration, enumerate_afs, log_partition_coefficient
 
@@ -235,8 +234,8 @@ def sample_jump_given_v(params: ModelParamsR, n_i: int, v: float, rng) -> float:
     if model.kind is ModelKind.STABLE:
         return rng.gamma(n_i - a, 1.0 / v)
     # Truncated stable: invert the gamma(n_i - alpha, rate v) CDF restricted to (0, 1].
-    mass = gammainc(n_i - a, v)
+    mass = _special().gammainc(n_i - a, v)
     if mass == 0.0:
         raise ValueError(f"the truncated jump law underflows at v={v}, n_i={n_i}")
-    s = gammaincinv(n_i - a, (1.0 - rng.random()) * mass) / v
+    s = _special().gammaincinv(n_i - a, (1.0 - rng.random()) * mass) / v
     return min(s, 1.0)

@@ -222,8 +222,10 @@ def _run_main(monkeypatch, tmp_path, change_ms):
 
     monkeypatch.setattr(bench_pairs, "unpack", lambda revision, into: "0" * 40)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.setattr(bench_pairs, "import_probe",
-                        lambda sides: {side: {"nbpk": 500.0} for side in sides})
+    monkeypatch.setattr(bench_pairs, "import_probe", lambda sides: {
+        "import_self_us": {side: {"nbpk": 500.0} for side in sides},
+        "import_nbpk_us": {side: 9000.0 for side in sides},
+        "import_packages": {side: ["numpy"] for side in sides}})
     out = tmp_path / "bench.json"
     code = bench_pairs.main(["--seeds", *map(str, range(10)), "--out", str(out)])
     return code, json.loads(out.read_text())
@@ -233,6 +235,7 @@ def test_main_exits_1_after_writing_the_report_when_a_workload_fails(monkeypatch
     code, report = _run_main(monkeypatch, tmp_path, 1.0)
     assert code == 0 and all(w["gate"] == [] for w in report["workloads"].values())
     assert report["import_self_us"] == {"parent": {"nbpk": 500.0}, "change": {"nbpk": 500.0}}
+    assert report["import_packages"] == {"parent": ["numpy"], "change": ["numpy"]}
     # 1.5 times the time is past every time metric's 0.25 bound, in every workload.
     code, report = _run_main(monkeypatch, tmp_path, 1.5)
     assert code == 1
@@ -258,6 +261,33 @@ def test_import_self_times_reads_every_nbpk_module_and_nothing_else():
     assert bench_pairs.import_self_times("") == {}
 
 
+# `python -X importtime -c "import nbpk"`, cut: site's imports come first, then nbpk's
+# subtree, each module after the modules it imported and indented deeper.  `org` is a
+# failed import (the stdlib's copy and pickle probe for it), which the text also lists.
+IMPORTTIME_TREE = """\
+import time: self [us] | cumulative | imported package
+import time:       504 |      30733 |   certifi
+import time:      1720 |      40830 | site
+import time:       103 |        103 |             org
+import time:        32 |        135 |           org.python
+import time:       415 |        415 |           _compat_pickle
+import time:      5412 |       5962 |         pickle
+import time:      1604 |      92118 |       numpy
+import time:       300 |        300 |         scipy._lib
+import time:       900 |       1200 |       scipy.special
+import time:      6119 |     244283 |     nbpk.levy_models
+import time:      6625 |       6625 |     nbpk.numerics
+import time:       679 |     274353 |   nbpk
+"""
+
+
+def test_import_summary_reads_nbpks_cumulative_time_and_the_packages_its_import_loads():
+    # certifi is site's, outside nbpk's subtree; org was never found; pickle is stdlib.
+    assert bench_pairs.import_summary(IMPORTTIME_TREE) == (274353, ["numpy", "scipy"])
+    assert bench_pairs.import_summary(IMPORTTIME) == (588763, ["numpy"])
+    assert bench_pairs.import_summary("") == (None, [])
+
+
 def test_import_probe_takes_each_sides_median_with_the_first_side_alternating(monkeypatch):
     calls = []
 
@@ -265,9 +295,15 @@ def test_import_probe_takes_each_sides_median_with_the_first_side_alternating(mo
         calls.append(str(cwd))
         assert env["PYTHONPATH"].split(bench_pairs.os.pathsep)[0] == str(cwd / "src")
         us = 100 * len(calls) if cwd == Path("p") else 7
-        return type("Proc", (), {"stderr": f"import time: {us} | {us} | nbpk.posterior"})
+        return type("Proc", (), {"stderr": f"import time: 5 | 5 |     numpy\n"
+                                           f"import time: {us} | {us} |   nbpk.posterior\n"
+                                           f"import time: 1 | {us + 6} | nbpk"})
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     got = bench_pairs.import_probe({"parent": Path("p"), "change": Path("c")}, runs=3)
     assert calls == ["p", "c", "c", "p", "p", "c"]
-    assert got == {"parent": {"nbpk.posterior": 400}, "change": {"nbpk.posterior": 7}}
+    assert got == {
+        "import_self_us": {"parent": {"nbpk.posterior": 400, "nbpk": 1},
+                           "change": {"nbpk.posterior": 7, "nbpk": 1}},
+        "import_nbpk_us": {"parent": 406, "change": 13},
+        "import_packages": {"parent": ["numpy"], "change": ["numpy"]}}

@@ -431,18 +431,19 @@ def test_h_solver_matches_scipy_expm(monkeypatch):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.special is the only scipy module `import nbpk` needs; scipy.linalg would add
-    # several MB of resident memory to every process that imports nbpk, and
-    # scipy.integrate (whose Gauss-Kronrod table numerics copies) would slow the import.
-    # nbpk.checks, and the scipy.stats its chi-square check needs, load only on demand.
+    # `import nbpk` and `import nbpk.cli` load numpy and no scipy module: scipy.special
+    # alone is half of the import's time and of a CLI call's resident memory, and only the
+    # truncated stable needs it.  nbpk.checks, and the scipy.stats its chi-square check
+    # needs, load only on demand.
     import nbpk
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(nbpk.__file__)))
-    code = ("import sys, nbpk; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.integrate', 'scipy.stats', 'nbpk.checks'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    for module, also in (("nbpk", "'nbpk.checks'"), ("nbpk.cli", "'scipy'")):
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                f"if m.startswith(('scipy', {also}))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]", module
 
 
 def test_the_cached_level_law_is_the_uncached_one_and_read_only():
@@ -452,7 +453,8 @@ def test_the_cached_level_law_is_the_uncached_one_and_read_only():
     for kind in (RateKind.TOTAL_N, RateKind.TOTAL_N_CHOOSE_2):
         for n in (2, 6, 40):
             _level_law.cache_clear()
-            h_solver_exact(Configuration((n,)), RateFunction(kind), t_grid=times)  # fills it
+            h_solver_exact(Configuration((n,)), RateFunction(kind), h0=lambda c: 1.0,
+                           t_grid=times)  # fills it
             cached, fresh = _level_law(n, kind, times), _level_law.__wrapped__(n, kind, times)
             assert _level_law.cache_info().hits == 1
             assert cached.shape == (len(times), n) and cached.tobytes() == fresh.tobytes()
@@ -471,3 +473,50 @@ def test_a_returned_h_array_is_the_callers_own():
             first[:] = -1.0
             assert h_solver_exact(Configuration((3, 2)), phi, h0=h0,
                                   t_grid=(0.0, 0.7)).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [6, 40, 1000])
+def test_level_law_under_phi_n_against_mpmath(n):
+    # log P(L(t) = m) = log n! - log m! - log (n - m)! - m t + (n - m) log(1 - e^-t), or
+    # the m = 1 column's two terms.  At these times (the first assert) every term is at
+    # most log n! = lgamma(n + 1) in size, and every partial sum at most twice that.  The
+    # absolute error, in ulps of log n!: 2 for each lgamma (6), 1 for each of the four
+    # sums (4), 1/2 for m t, and 2 1/2 for the log and the product plus 2 for the rounding
+    # of 1 - e^-t, which (n - m) multiplies, as n <= log n! for n >= 6: 15 ulps in all.
+    # exp turns that into a relative error and adds 1 ulp of its own, the reference's
+    # rounding 1/2.  Below the normal floats a probability has lost bits: not compared.
+    from nbpk.coalescent import _level_law
+
+    times = (0.5, 0.7, 0.85, 1.05)
+    log_fact = math.lgamma(n + 1)
+    assert all(n * max(t, -math.log(-math.expm1(-t))) <= log_fact for t in times)
+    got = _level_law.__wrapped__(n, RateKind.TOTAL_N, times)
+    with mpmath.workdps(40):
+        want = []
+        for t in times:
+            e = mpmath.exp(-mpmath.mpf(t))
+            want.append([float((1 - e) ** (n - 1) * (1 - e + n * e))]
+                        + [float(mpmath.binomial(n, m) * e ** m * (1 - e) ** (n - m))
+                           for m in range(2, n + 1)])
+    want = np.array(want)
+    normal = want >= np.finfo(float).tiny
+    assert normal.sum() >= 4 * min(n, 100)
+    bar = 16 * math.ulp(log_fact) + 1.5 * 2.0 ** -52
+    assert np.abs(got[normal] / want[normal] - 1.0).max() < bar
+
+
+def test_default_h0_under_phi_n_is_closed_form_at_any_n():
+    # The absorption probability under phi = n reads no level law and fills none: an
+    # n-wide law at n = 10^6 would hold 8 MB per time.  The reference rounds the same
+    # closed form; (n - 1) log(1 - e^-t) carries n times log's error, about n ulps.
+    from nbpk.coalescent import _level_law
+
+    n, times = 10 ** 6, (11.0, 14.0, 16.0)
+    before = _level_law.cache_info()
+    got = h_solver_exact(Configuration((n,)), RateFunction(RateKind.TOTAL_N), t_grid=times)
+    assert _level_law.cache_info() == before
+    with mpmath.workdps(40):
+        want = [float((1 - e) ** (n - 1) * (1 - e + n * e))
+                for e in (mpmath.exp(-mpmath.mpf(t)) for t in times)]
+    assert min(want) < 1e-3 and max(want) > 0.5
+    np.testing.assert_allclose(got, want, rtol=4 * n * 2.0 ** -52, atol=0)

@@ -1,7 +1,11 @@
-"""Package imports: each used and imported once, and the checks import only public names."""
+"""Package imports: each used and imported once, the checks import only public names, and
+scipy.special loads only for the truncated stable."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nbpk"
@@ -88,3 +92,47 @@ def test_every_package_function_and_class_has_a_caller():
                     for other, (_, read) in modules.items() for ref, line in read):
                 problems.append(f"{name}:{node.lineno}: {node.name} has no caller in the package")
     assert not problems, "\n".join(problems)
+
+
+def _fresh(code):
+    """Run `code` in a fresh interpreter on this checkout's package; its stdout lines."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}
+                          ).stdout.split()
+
+
+_MODELS = """
+import sys
+import numpy as np
+from nbpk import (Configuration, LevyModel, ModelParamsR, RateFunction, RateKind,
+                  backward_event_probabilities, h_solver_exact, log_eppf, normalized_predictive,
+                  run_chain, sample_jump_given_v)
+config = Configuration((3, 2, 1))
+truncstable = ModelParamsR(LevyModel.truncated_stable(0.5), 1.5)
+"""
+
+
+def test_only_the_truncated_stable_loads_scipy_special():
+    # The Gibbs-type families' table rows and chains, and every H-solve, run on numpy alone.
+    code = _MODELS + """
+for params in (ModelParamsR(LevyModel.stable(0.5), 1.5), ModelParamsR(LevyModel.gamma(1.0), 2.0),
+               ModelParamsR(LevyModel.generalized_gamma(0.5), 2.0)):
+    log_eppf(params, config), normalized_predictive(params, config)
+    backward_event_probabilities(params, config), run_chain(params, 5, 1)
+for kind in (RateKind.TOTAL_N, RateKind.TOTAL_N_CHOOSE_2):
+    for h0 in (None, lambda c: float(c.k)):
+        h_solver_exact(config, RateFunction(kind), h0=h0, t_grid=(0.5, 1.0))
+print(any(m.startswith("scipy") for m in sys.modules))
+log_eppf(truncstable, config)
+print("scipy.special" in sys.modules)
+"""
+    assert _fresh(code) == ["False", "True"]
+
+
+def test_a_jump_draw_can_be_the_first_truncated_stable_call():
+    code = _MODELS + """
+print("scipy.special" in sys.modules)
+s = sample_jump_given_v(truncstable, 2, 0.7, np.random.default_rng(3))
+print(0.0 < s <= 1.0, "scipy.special" in sys.modules)
+"""
+    assert _fresh(code) == ["False", "True", "True"]

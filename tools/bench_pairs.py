@@ -40,9 +40,12 @@ median ``attempted``, ``harness_mb``, ``gain_at_rss_bound`` and, as
 Before the workloads, ``python3 -X importtime -c "import nbpk"`` runs
 ``IMPORT_RUNS`` times on each side, alternating which side goes first, and the
 output file holds each side's median self time of every ``nbpk`` module
-(``import_self_us``, in microseconds).  ``setup_s`` is the median import time
-plus the median set-up, so a setup_s move that the package's import self
-times do not show comes from the machine, not from the package.
+(``import_self_us``, in microseconds), the median cumulative time of ``import
+nbpk`` (``import_nbpk_us``) and the top-level packages outside the standard
+library that the import loads (``import_packages``), so an eager import of a
+heavy dependency shows in every report.  ``setup_s`` is the median import time
+plus the median set-up, so a setup_s move that the package's import times do
+not show comes from the machine, not from the package.
 
 The exit status is 1, after the report is written, when any workload's
 ``gate`` is non-empty or its ops gain exceeds ``gain_at_rss_bound``;
@@ -52,6 +55,7 @@ otherwise 0.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -91,20 +95,55 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def import_self_times(text: str) -> dict:
-    """{module: self time in us} for every ``nbpk`` module in ``python -X importtime`` output."""
-    out = {}
+def _importtime_rows(text: str) -> list:
+    """(self us, cumulative us, indent, module) per line of ``python -X importtime`` output."""
+    rows = []
     for line in text.splitlines():
         fields = line.removeprefix("import time:").split("|")
-        if len(fields) == 3 and fields[2].strip().split(".")[0] == "nbpk":
-            out[fields[2].strip()] = int(fields[0])
-    return out
+        if len(fields) == 3 and fields[1].strip().isdigit():
+            name = fields[2].rstrip()
+            rows.append((int(fields[0]), int(fields[1]), len(name) - len(name.lstrip()),
+                         name.strip()))
+    return rows
+
+
+def import_self_times(text: str) -> dict:
+    """{module: self time in us} for every ``nbpk`` module in ``python -X importtime`` output."""
+    return {name: us for us, _, _, name in _importtime_rows(text)
+            if name.split(".")[0] == "nbpk"}
+
+
+def _third_party(name: str) -> bool:
+    """Whether a top-level module is a public one, outside the standard library, that this
+    interpreter finds: ``-X importtime`` lists failed imports too (the stdlib's probes of
+    ``org``), and ``sys.stdlib_module_names`` misses the stdlib's ``_sysconfigdata_*``."""
+    return (not name.startswith("_") and name not in sys.stdlib_module_names
+            and importlib.util.find_spec(name) is not None)
+
+
+def import_summary(text: str):
+    """The cumulative time (us) of ``import nbpk`` in ``python -X importtime`` output, and the
+    sorted top-level packages outside the standard library that it loaded (its subtree:
+    the lines before it indented deeper); (None, []) without an ``nbpk`` line."""
+    rows = _importtime_rows(text)
+    tops = [i for i, row in enumerate(rows) if row[3] == "nbpk"]
+    if not tops:
+        return None, []
+    _, cumulative, depth, _ = rows[tops[-1]]
+    packages = set()
+    for _, _, indent, name in reversed(rows[:tops[-1]]):
+        if indent <= depth:
+            break
+        packages.add(name.split(".")[0])
+    return cumulative, sorted(p for p in packages - {"nbpk"} if _third_party(p))
 
 
 def import_probe(sides: dict, runs: int = IMPORT_RUNS) -> dict:
-    """Each side's median self time (us) of every ``nbpk`` module over `runs` imports per
-    side in fresh processes, the side that goes first alternating from run to run."""
-    times = {side: [] for side in sides}
+    """``runs`` imports of nbpk per side in fresh processes, the side that goes first
+    alternating from run to run.  Per side: ``import_self_us``, the median self time (us)
+    of every ``nbpk`` module; ``import_nbpk_us``, the median cumulative time of
+    ``import nbpk``; and ``import_packages``, the non-stdlib packages any run loaded."""
+    texts = {side: [] for side in sides}
     for i in range(runs):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -112,9 +151,15 @@ def import_probe(sides: dict, runs: int = IMPORT_RUNS) -> dict:
             proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import nbpk"],
                                   cwd=sides[side], env=env, capture_output=True, text=True,
                                   check=True)
-            times[side].append(import_self_times(proc.stderr))
-    return {side: {name: statistics.median(run[name] for run in found) for name in found[0]}
-            for side, found in times.items()}
+            texts[side].append(proc.stderr)
+    out = {"import_self_us": {}, "import_nbpk_us": {}, "import_packages": {}}
+    for side, found in texts.items():
+        self_us, summaries = list(map(import_self_times, found)), list(map(import_summary, found))
+        out["import_self_us"][side] = {name: statistics.median(run[name] for run in self_us)
+                                       for name in self_us[0]}
+        out["import_nbpk_us"][side] = statistics.median(us for us, _ in summaries)
+        out["import_packages"][side] = sorted(set().union(*(loaded for _, loaded in summaries)))
+    return out
 
 
 def spread(values):
@@ -240,10 +285,11 @@ def main(argv=None):
         parent_dir = Path(tmp)
         report["parent"] = unpack(args.parent, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
-        report["import_self_us"] = imports = import_probe(sides)
-        print(f"nbpk import self time, median of {IMPORT_RUNS} runs: " + "; ".join(
-            f"{side} {sum(us.values()) / 1e3:.1f} ms" for side, us in imports.items()),
-            file=sys.stderr, flush=True)
+        report.update(import_probe(sides))
+        print(f"import nbpk, median of {IMPORT_RUNS} runs: " + "; ".join(
+            f"{side} {report['import_nbpk_us'][side] / 1e3:.1f} ms, nbpk modules' self time "
+            f"{sum(us.values()) / 1e3:.1f} ms, loads {', '.join(report['import_packages'][side])}"
+            for side, us in report["import_self_us"].items()), file=sys.stderr, flush=True)
         for workload in workloads:
             pairs = []
             for i, seed in enumerate(args.seeds):

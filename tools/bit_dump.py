@@ -8,6 +8,9 @@ every package cache cleared before each group.  The groups:
 
 * ``table.hsolve``: the benchmark's ``table`` H-solve (phi = n, h0 = 1) for every
   configuration with 2 <= n <= 6;
+* ``hsolve.default``: the default-h0 H-solve (the absorption probability by t)
+  under phi = n at n = 2, 6, 40, 1000 and 10^5, and under phi = n(n - 1)/2 at
+  n = 2, 6 and 40;
 * ``table.stable``, ``table.gamma``, ``table.gengamma`` and ``table.truncstable``: the
   ``table`` op outputs (``log_eppf``, ``normalized_predictive`` and
   ``backward_event_probabilities``) of the same configurations under each benchmark
@@ -92,6 +95,13 @@ def dump(sizes=FULL) -> dict:
         for config in table_configs():
             yield nbpk.h_solver_exact(config, phi, h0=lambda c: 1.0, t_grid=(0.0, 0.5, 1.0, 2.0))
 
+    def hsolve_default():
+        for kind, ns in ((RateKind.TOTAL_N, (2, 6, 40, 1000, 10 ** 5)),
+                         (RateKind.TOTAL_N_CHOOSE_2, (2, 6, 40))):
+            for n in ns:
+                yield nbpk.h_solver_exact(Configuration((n,)), RateFunction(kind),
+                                          t_grid=(0.0, 0.5, 1.0, 2.0))
+
     def table(params):
         for config in table_configs():
             yield (nbpk.log_eppf(params, config), nbpk.normalized_predictive(params, config),
@@ -135,6 +145,7 @@ def dump(sizes=FULL) -> dict:
         yield nbpk.log_v_moment(models[0], Configuration((3, 2, 1)), -0.5)
 
     group("table.hsolve", hsolve)
+    group("hsolve.default", hsolve_default)
     for name, params in zip(names, models):
         group(f"table.{name}", lambda params=params: table(params))
     for name, outputs in (("vsampler", vsampler), ("chains", chains), ("eppf", eppf),
